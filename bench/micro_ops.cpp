@@ -8,9 +8,11 @@
 // per compiled-and-supported kernel backend (scalar vs AVX2 vs AVX-512 vs
 // NEON) for the three packed-word hot loops — pairwise Hamming, SoA
 // multi-prototype Hamming (core::PrototypeBlock), and the Accumulator's
-// weighted-bundling add_xor — and then self-times the same loops to emit a
-// machine-readable report at bench_out/micro_ops.json, including the
-// headline `hamming_many_speedup_best_vs_scalar` the CI perf gate reads.
+// weighted-bundling add_xor — plus batched fault-mask sampling and a whole
+// FaultSession inject + restore at D = 2048, and then self-times the same
+// loops to emit a machine-readable report at bench_out/micro_ops.json,
+// including the headline `hamming_many_speedup_best_vs_scalar` the CI perf
+// gate reads.
 // Every backend is bit-identical (see core/kernels/kernels.hpp), so the
 // rows differ in speed only.
 
@@ -34,6 +36,9 @@
 #include "hog/hd_hog.hpp"
 #include "image/image.hpp"
 #include "learn/hdc_model.hpp"
+#include "noise/fault_model.hpp"
+#include "pipeline/fault_injection.hpp"
+#include "pipeline/hdface_pipeline.hpp"
 
 namespace {
 
@@ -264,6 +269,71 @@ void register_backend_rows() {
   }
 }
 
+// --- fault-injection rows -----------------------------------------------------
+
+// Stored-memory fault injection at the served geometry (D = 2048, 16-px
+// window, the load mix's transient rate 2e-3): batched mask sampling alone
+// (kFaultMasks patterns per op, the FaultSession chunk size) and one whole
+// FaultSession inject + restore over the item memories and the 16 384-entry
+// mask pool.
+constexpr std::size_t kFaultDim = 2048;
+constexpr std::size_t kFaultMasks = 1024;
+
+pipeline::HdFaceConfig fault_config() {
+  pipeline::HdFaceConfig c;
+  c.dim = kFaultDim;
+  c.mode = pipeline::HdFaceMode::kHdHog;
+  c.hd_hog_mode = hog::HdHogMode::kDecodeShortcut;
+  c.hog.cell_size = 4;
+  c.hog.bins = 8;
+  return c;
+}
+
+struct FaultFixture {
+  std::vector<std::uint64_t> seeds;
+  noise::FaultPlan plan;
+  pipeline::HdFacePipeline pipe;
+
+  FaultFixture() : pipe(fault_config(), 16, 16, 2) {
+    plan.model = {noise::FaultKind::kTransientFlip, 2e-3};
+    for (std::size_t i = 0; i < kFaultMasks; ++i) {
+      seeds.push_back(
+          noise::fault_seed(plan.seed, noise::FaultTarget::kMaskPool, i));
+    }
+    pipe.prepare_concurrent();
+  }
+
+  void sample_masks() {
+    benchmark::DoNotOptimize(
+        noise::sample_fault_masks(plan.model, kFaultDim, seeds).plane.data());
+  }
+  void inject_restore() {
+    pipeline::FaultSession session(pipe, plan);
+    session.restore();
+  }
+};
+
+void register_fault_rows() {
+  for (const core::kernels::Backend backend : usable_backends()) {
+    const std::string suffix(core::kernels::backend_name(backend));
+    const auto add = [&](const char* name, auto member, std::int64_t items) {
+      benchmark::RegisterBenchmark(
+          (std::string(name) + "<" + suffix + ">").c_str(),
+          [backend, member, items](benchmark::State& state) {
+            FaultFixture fix;
+            const core::kernels::ScopedBackend forced(backend);
+            for (auto _ : state) (fix.*member)();
+            state.SetItemsProcessed(state.iterations() * items);
+          })
+          ->Arg(kFaultDim)
+          ->Unit(benchmark::kMillisecond);
+    };
+    add("BM_FaultMasks", &FaultFixture::sample_masks,
+        static_cast<std::int64_t>(kFaultMasks));
+    add("BM_FaultSessionInjectRestore", &FaultFixture::inject_restore, 1);
+  }
+}
+
 // --- self-timed JSON report ---------------------------------------------------
 
 // Median-of-three timing with geometric iteration growth until the sample
@@ -405,6 +475,20 @@ void write_report(const std::string& path) {
     }
   }
 
+  // Fault rows: ns per sampled mask, and ns per whole inject + restore.
+  {
+    FaultFixture fix;
+    for (const Backend backend : backends) {
+      const core::kernels::ScopedBackend forced(backend);
+      const std::string name(core::kernels::backend_name(backend));
+      const double masks = ns_per_op([&] { fix.sample_masks(); });
+      rows.push_back({"fault_masks", name, kFaultDim,
+                      masks / static_cast<double>(kFaultMasks)});
+      rows.push_back({"fault_session_inject_restore", name, kFaultDim,
+                      ns_per_op([&] { fix.inject_restore(); })});
+    }
+  }
+
   std::filesystem::create_directories(
       std::filesystem::path(path).parent_path());
   std::ofstream out(path);
@@ -438,6 +522,7 @@ void write_report(const std::string& path) {
 
 int main(int argc, char** argv) {
   register_backend_rows();
+  register_fault_rows();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

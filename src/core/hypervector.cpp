@@ -31,9 +31,11 @@ Hypervector Hypervector::random(std::size_t dim, Rng& rng) {
 
 Hypervector Hypervector::bernoulli(std::size_t dim, double p, Rng& rng) {
   Hypervector v(dim);
-  for (std::size_t i = 0; i < dim; ++i) {
-    if (rng.uniform() < p) v.set(i, true);
-  }
+  // The one-stream case of the batched fault-mask sampler: bit i is
+  // rng.uniform() < p for the i-th draw, and rng ends `dim` draws on.
+  kernels::active().bernoulli_streams(rng.state().data(), 1, dim,
+                                      bernoulli_threshold(p), v.words_.data(),
+                                      v.words_.size());
   return v;
 }
 

@@ -29,7 +29,8 @@ class Hypervector {
   // i.i.d. fair random hypervector.
   static Hypervector random(std::size_t dim, Rng& rng);
 
-  // Random hypervector whose bits are 1 (element +1) with probability p.
+  // Random hypervector whose bits are 1 (element +1) with probability p:
+  // bit i is set iff the i-th rng.uniform() draw is < p (one draw per bit).
   static Hypervector bernoulli(std::size_t dim, double p, Rng& rng);
 
   std::size_t dim() const { return dim_; }

@@ -1,5 +1,6 @@
 #include "core/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "core/kernels/backends.hpp"
+#include "core/rng.hpp"
 
 namespace hdface::core::kernels {
 
@@ -158,6 +160,32 @@ std::size_t threshold_words_scalar(const double* counts, std::size_t dim,
   return zeros;
 }
 
+}  // namespace
+
+// Literally core::Rng::next() per draw, one stream after another.
+void detail::bernoulli_streams_scalar(std::uint64_t* state,
+                                      std::size_t streams, std::size_t dim,
+                                      std::uint64_t threshold,
+                                      std::uint64_t* out, std::size_t stride) {
+  for (std::size_t s = 0; s < streams; ++s) {
+    Rng rng(0);
+    std::copy_n(state + 4 * s, 4, rng.state().begin());
+    std::uint64_t* row = out + s * stride;
+    for (std::size_t base = 0; base < dim; base += 64) {
+      const std::size_t bits = std::min<std::size_t>(64, dim - base);
+      std::uint64_t word = 0;
+      for (std::size_t j = 0; j < bits; ++j) {
+        word |= static_cast<std::uint64_t>((rng.next() >> 11) < threshold)
+                << j;
+      }
+      row[base / 64] = word;
+    }
+    std::copy_n(rng.state().begin(), 4, state + 4 * s);
+  }
+}
+
+namespace {
+
 // --- dispatch state ---------------------------------------------------------
 // All mutable state lives in function-local statics (hdlint: mutable-global).
 
@@ -227,7 +255,7 @@ const KernelTable& scalar_table() {
       &hamming_words_scalar,      &hamming_block_scalar,
       &hamming_block_range_scalar, &add_xor_weighted_scalar,
       &threshold_words_scalar,    &select_words_scalar,
-      &popcount_select_xor_scalar};
+      &popcount_select_xor_scalar, &detail::bernoulli_streams_scalar};
   return table;
 }
 

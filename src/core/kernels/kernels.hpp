@@ -18,7 +18,10 @@
 //     single rounding the scalar loop performs);
 //   * threshold_words only compares against zero (exact) and leaves the
 //     tie-breaking RNG draws to the caller so the draw order is the
-//     scalar order (ascending dimension, zeros only).
+//     scalar order (ascending dimension, zeros only);
+//   * bernoulli_streams runs the same xoshiro256** recurrence in every lane
+//     (multiplies by 5 and 9 as shift-adds, exact mod 2^64) and compares
+//     integers only, so each lane reproduces core::Rng draw for draw.
 // The op-counter charges are caller-side (hamming_many, Accumulator) and
 // depend only on word/dimension counts, so switching backends never changes
 // an op total either. This is what lets the determinism suites, the
@@ -128,6 +131,19 @@ struct KernelTable {
                                        const std::uint64_t* m,
                                        const std::uint64_t* x,
                                        std::uint64_t cond_flip, std::size_t n);
+
+  // Multi-stream Bernoulli sampling (fault masks, Hypervector::bernoulli):
+  // `streams` independent xoshiro256** generators, stream s's state at
+  // state[4s, 4s + 4) in core::Rng::state() order. Each stream advances by
+  // exactly `dim` draws and its state is written back. Bit j of row s is 1
+  // iff draw j of stream s has (x >> 11) < threshold; with threshold =
+  // core::bernoulli_threshold(p) that is Rng::uniform() < p, draw for draw.
+  // Row s is out[s * stride, s * stride + ceil(dim / 64)); bits at and past
+  // dim are written zero. Requires stride ≥ ceil(dim / 64); rows must not
+  // overlap the state array.
+  void (*bernoulli_streams)(std::uint64_t* state, std::size_t streams,
+                            std::size_t dim, std::uint64_t threshold,
+                            std::uint64_t* out, std::size_t stride);
 };
 
 // The reference backend (always compiled).

@@ -268,6 +268,102 @@ void hamming_block_range_avx2(const std::uint64_t* query,
                      word_hi - word_lo, count, stride, out);
 }
 
+inline __m256i rotl256(__m256i x, int k) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
+}
+
+// xoshiro256** advanced in all four 64-bit lanes at once; returns each lane's
+// output word. s1·5 and r·9 are shift-adds (exact mod 2^64), so every lane
+// is bit-for-bit core::Rng::next.
+inline __m256i xoshiro_next(__m256i& s0, __m256i& s1, __m256i& s2,
+                            __m256i& s3) {
+  const __m256i r =
+      rotl256(_mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2)), 7);
+  const __m256i result = _mm256_add_epi64(r, _mm256_slli_epi64(r, 3));
+  const __m256i t = _mm256_slli_epi64(s1, 17);
+  s2 = _mm256_xor_si256(s2, s0);
+  s3 = _mm256_xor_si256(s3, s1);
+  s1 = _mm256_xor_si256(s1, s2);
+  s0 = _mm256_xor_si256(s0, s3);
+  s2 = _mm256_xor_si256(s2, t);
+  s3 = rotl256(s3, 45);
+  return result;
+}
+
+// Up to 4·V streams (`lanes` of them real), one stream per 64-bit lane of V
+// interleaved vectors. Idle lanes run an all-zero state (a fixed point) and
+// are never written. x >> 11 and the threshold are both < 2^63, so the signed
+// 64-bit compare orders them like the scalar unsigned one.
+template <int V>
+void bernoulli_block_avx2(std::uint64_t* state, std::size_t lanes,
+                          std::size_t dim, std::uint64_t threshold,
+                          std::uint64_t* out, std::size_t stride) {
+  constexpr std::size_t kLanes = 4 * V;
+  alignas(32) std::uint64_t st[4][kLanes] = {};
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t k = 0; k < 4; ++k) st[k][l] = state[4 * l + k];
+  }
+  __m256i s0[V], s1[V], s2[V], s3[V];
+  for (int v = 0; v < V; ++v) {
+    s0[v] = load256(st[0] + 4 * v);
+    s1[v] = load256(st[1] + 4 * v);
+    s2[v] = load256(st[2] + 4 * v);
+    s3[v] = load256(st[3] + 4 * v);
+  }
+  const __m256i thr = _mm256_set1_epi64x(static_cast<long long>(threshold));
+  alignas(32) std::uint64_t words[kLanes];
+  for (std::size_t base = 0; base < dim; base += 64) {
+    const std::size_t bits = dim - base < 64 ? dim - base : 64;
+    __m256i acc[V];
+    for (int v = 0; v < V; ++v) acc[v] = _mm256_setzero_si256();
+    __m256i bit = _mm256_set1_epi64x(1);
+    for (std::size_t j = 0; j < bits; ++j) {
+      for (int v = 0; v < V; ++v) {
+        const __m256i x = xoshiro_next(s0[v], s1[v], s2[v], s3[v]);
+        const __m256i hit =
+            _mm256_cmpgt_epi64(thr, _mm256_srli_epi64(x, 11));
+        acc[v] = _mm256_or_si256(acc[v], _mm256_and_si256(hit, bit));
+      }
+      bit = _mm256_add_epi64(bit, bit);
+    }
+    for (int v = 0; v < V; ++v) store256(words + 4 * v, acc[v]);
+    for (std::size_t l = 0; l < lanes; ++l) out[l * stride + base / 64] = words[l];
+  }
+  for (int v = 0; v < V; ++v) {
+    store256(st[0] + 4 * v, s0[v]);
+    store256(st[1] + 4 * v, s1[v]);
+    store256(st[2] + 4 * v, s2[v]);
+    store256(st[3] + 4 * v, s3[v]);
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t k = 0; k < 4; ++k) state[4 * l + k] = st[k][l];
+  }
+}
+
+void bernoulli_streams_avx2(std::uint64_t* state, std::size_t streams,
+                            std::size_t dim, std::uint64_t threshold,
+                            std::uint64_t* out, std::size_t stride) {
+  // One or two streams cannot fill a vector: the scalar recurrence is
+  // faster than four lanes of which most idle.
+  if (streams <= 2) {
+    bernoulli_streams_scalar(state, streams, dim, threshold, out, stride);
+    return;
+  }
+  std::size_t s = 0;
+  for (; s + 8 <= streams; s += 8) {
+    bernoulli_block_avx2<2>(state + 4 * s, 8, dim, threshold,
+                            out + s * stride, stride);
+  }
+  const std::size_t rest = streams - s;
+  if (rest > 4) {
+    bernoulli_block_avx2<2>(state + 4 * s, rest, dim, threshold,
+                            out + s * stride, stride);
+  } else if (rest > 0) {
+    bernoulli_block_avx2<1>(state + 4 * s, rest, dim, threshold,
+                            out + s * stride, stride);
+  }
+}
+
 }  // namespace
 
 const KernelTable& avx2_table() {
@@ -278,7 +374,7 @@ const KernelTable& avx2_table() {
       &hamming_words_avx2,       &hamming_block_avx2,
       &hamming_block_range_avx2, &add_xor_weighted_avx2,
       &threshold_words_avx2,     &select_words_avx2,
-      &popcount_select_xor_avx2};
+      &popcount_select_xor_avx2, &bernoulli_streams_avx2};
   return table;
 }
 

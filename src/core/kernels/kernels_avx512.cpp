@@ -282,6 +282,97 @@ void hamming_block_range_avx512(const std::uint64_t* query,
                        word_hi - word_lo, count, stride, out);
 }
 
+// xoshiro256** advanced in all eight 64-bit lanes at once; returns each
+// lane's output word. s1·5 and r·9 are shift-adds (exact mod 2^64) and the
+// rotations are native VPROLQ, so every lane is bit-for-bit core::Rng::next.
+inline __m512i xoshiro_next(__m512i& s0, __m512i& s1, __m512i& s2,
+                            __m512i& s3) {
+  const __m512i r =
+      _mm512_rol_epi64(_mm512_add_epi64(s1, _mm512_slli_epi64(s1, 2)), 7);
+  const __m512i result = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
+  const __m512i t = _mm512_slli_epi64(s1, 17);
+  s2 = _mm512_xor_si512(s2, s0);
+  s3 = _mm512_xor_si512(s3, s1);
+  s1 = _mm512_xor_si512(s1, s2);
+  s0 = _mm512_xor_si512(s0, s3);
+  s2 = _mm512_xor_si512(s2, t);
+  s3 = _mm512_rol_epi64(s3, 45);
+  return result;
+}
+
+// Up to 8·V streams (`lanes` of them real), one stream per 64-bit lane of V
+// interleaved vectors; V = 2 keeps two independent recurrences in flight.
+// Idle lanes run an all-zero state (a fixed point) and are never written.
+template <int V>
+void bernoulli_block_avx512(std::uint64_t* state, std::size_t lanes,
+                            std::size_t dim, std::uint64_t threshold,
+                            std::uint64_t* out, std::size_t stride) {
+  constexpr std::size_t kLanes = 8 * V;
+  alignas(64) std::uint64_t st[4][kLanes] = {};
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t k = 0; k < 4; ++k) st[k][l] = state[4 * l + k];
+  }
+  __m512i s0[V], s1[V], s2[V], s3[V];
+  for (int v = 0; v < V; ++v) {
+    s0[v] = _mm512_load_si512(st[0] + 8 * v);
+    s1[v] = _mm512_load_si512(st[1] + 8 * v);
+    s2[v] = _mm512_load_si512(st[2] + 8 * v);
+    s3[v] = _mm512_load_si512(st[3] + 8 * v);
+  }
+  const __m512i thr = _mm512_set1_epi64(static_cast<long long>(threshold));
+  alignas(64) std::uint64_t words[kLanes];
+  for (std::size_t base = 0; base < dim; base += 64) {
+    const std::size_t bits = dim - base < 64 ? dim - base : 64;
+    __m512i acc[V];
+    for (int v = 0; v < V; ++v) acc[v] = _mm512_setzero_si512();
+    __m512i bit = _mm512_set1_epi64(1);
+    for (std::size_t j = 0; j < bits; ++j) {
+      for (int v = 0; v < V; ++v) {
+        const __m512i x = xoshiro_next(s0[v], s1[v], s2[v], s3[v]);
+        const __mmask8 hit =
+            _mm512_cmplt_epu64_mask(_mm512_srli_epi64(x, 11), thr);
+        acc[v] = _mm512_mask_or_epi64(acc[v], hit, acc[v], bit);
+      }
+      bit = _mm512_add_epi64(bit, bit);
+    }
+    for (int v = 0; v < V; ++v) _mm512_store_si512(words + 8 * v, acc[v]);
+    for (std::size_t l = 0; l < lanes; ++l) out[l * stride + base / 64] = words[l];
+  }
+  for (int v = 0; v < V; ++v) {
+    _mm512_store_si512(st[0] + 8 * v, s0[v]);
+    _mm512_store_si512(st[1] + 8 * v, s1[v]);
+    _mm512_store_si512(st[2] + 8 * v, s2[v]);
+    _mm512_store_si512(st[3] + 8 * v, s3[v]);
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t k = 0; k < 4; ++k) state[4 * l + k] = st[k][l];
+  }
+}
+
+void bernoulli_streams_avx512(std::uint64_t* state, std::size_t streams,
+                              std::size_t dim, std::uint64_t threshold,
+                              std::uint64_t* out, std::size_t stride) {
+  // One or two streams cannot fill a vector: the scalar recurrence is
+  // faster than eight lanes of which most idle.
+  if (streams <= 2) {
+    bernoulli_streams_scalar(state, streams, dim, threshold, out, stride);
+    return;
+  }
+  std::size_t s = 0;
+  for (; s + 16 <= streams; s += 16) {
+    bernoulli_block_avx512<2>(state + 4 * s, 16, dim, threshold,
+                              out + s * stride, stride);
+  }
+  const std::size_t rest = streams - s;
+  if (rest > 8) {
+    bernoulli_block_avx512<2>(state + 4 * s, rest, dim, threshold,
+                              out + s * stride, stride);
+  } else if (rest > 0) {
+    bernoulli_block_avx512<1>(state + 4 * s, rest, dim, threshold,
+                              out + s * stride, stride);
+  }
+}
+
 }  // namespace
 
 const KernelTable& avx512_table() {
@@ -292,7 +383,7 @@ const KernelTable& avx512_table() {
       &hamming_words_avx512,       &hamming_block_avx512,
       &hamming_block_range_avx512, &add_xor_weighted_avx512,
       &threshold_words_avx512,     &select_words_avx512,
-      &popcount_select_xor_avx512};
+      &popcount_select_xor_avx512, &bernoulli_streams_avx512};
   return table;
 }
 

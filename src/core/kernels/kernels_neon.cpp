@@ -222,7 +222,7 @@ const KernelTable& neon_table() {
       &hamming_words_neon,       &hamming_block_neon,
       &hamming_block_range_neon, &add_xor_weighted_neon,
       &threshold_words_neon,     &select_words_neon,
-      &popcount_select_xor_neon};
+      &popcount_select_xor_neon, &bernoulli_streams_scalar};
   return table;
 }
 

@@ -49,6 +49,11 @@ class Rng {
   // Uniform double in [0, 1).
   double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
+  // The raw xoshiro256** state words. Kernels that run many generators in
+  // SIMD lanes (kernels::KernelTable::bernoulli_streams) read it, advance it
+  // exactly as next() would, and write it back.
+  std::array<std::uint64_t, 4>& state() { return s_; }
+
   // Uniform integer in [0, n). n must be > 0.
   std::uint64_t below(std::uint64_t n) {
     // Rejection-free multiply-shift; bias < 2^-64, irrelevant for our sizes.
@@ -72,5 +77,17 @@ class Rng {
   }
   std::array<std::uint64_t, 4> s_;
 };
+
+// Integer form of the Bernoulli test `uniform() < p`: for every draw x,
+//   uniform() < p  ⟺  (x >> 11) < bernoulli_threshold(p).
+// uniform() is k·2⁻⁵³ for the integer k = x >> 11 < 2⁵³, and both that
+// product and p·2⁵³ are exact (scaling by a power of two), so k·2⁻⁵³ < p
+// ⟺ k < p·2⁵³ ⟺ k < ⌈p·2⁵³⌉. p ≤ 0 and NaN accept nothing (threshold 0);
+// p ≥ 1 accepts every draw (threshold 2⁵³).
+inline std::uint64_t bernoulli_threshold(double p) {
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(__builtin_ceil(p * 0x1.0p53));
+}
 
 }  // namespace hdface::core

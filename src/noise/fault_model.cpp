@@ -1,7 +1,10 @@
 #include "noise/fault_model.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
+#include "core/kernels/kernels.hpp"
 #include "util/check.hpp"
 
 namespace hdface::noise {
@@ -20,12 +23,28 @@ std::size_t FaultMask::selected_bits() const {
   return clear.popcount() + set.popcount() + flip.popcount();
 }
 
+namespace {
+
+void validate(const FaultModel& model, std::size_t dim, const char* what) {
+  if (dim == 0) throw std::invalid_argument(std::string(what) + ": dim 0");
+  if (model.rate < 0.0 || model.rate > 1.0) {
+    throw std::invalid_argument(std::string(what) + ": rate outside [0, 1]");
+  }
+}
+
+// One Bernoulli draw per 64-bit word; a failed word inverts wholesale. The
+// tail word participates like any other; its bits past dim stay zero.
+void sample_word_burst(double rate, std::size_t dim, core::Rng& rng,
+                       std::span<std::uint64_t> words) {
+  for (auto& w : words) w = rng.uniform() < rate ? ~0ULL : 0ULL;
+  if (dim % 64 != 0) words.back() &= (1ULL << (dim % 64)) - 1;
+}
+
+}  // namespace
+
 FaultMask sample_fault_mask(const FaultModel& model, std::size_t dim,
                             core::Rng& rng) {
-  if (dim == 0) throw std::invalid_argument("sample_fault_mask: dim 0");
-  if (model.rate < 0.0 || model.rate > 1.0) {
-    throw std::invalid_argument("sample_fault_mask: rate outside [0, 1]");
-  }
+  validate(model, dim, "sample_fault_mask");
   FaultMask mask{core::Hypervector(dim), core::Hypervector(dim),
                  core::Hypervector(dim)};
   if (model.rate <= 0.0) return mask;
@@ -39,19 +58,63 @@ FaultMask sample_fault_mask(const FaultModel& model, std::size_t dim,
     case FaultKind::kStuckAtOne:
       mask.set = core::Hypervector::bernoulli(dim, model.rate, rng);
       break;
-    case FaultKind::kWordBurst: {
-      // One Bernoulli draw per 64-bit word; a failed word inverts wholesale.
-      // The tail word participates like any other (apply_fault_pattern
-      // re-masks the out-of-range bits).
-      auto words = mask.flip.mutable_words();
-      for (auto& w : words) {
-        if (rng.uniform() < model.rate) w = ~0ULL;
-      }
-      mask.flip.mask_tail();
+    case FaultKind::kWordBurst:
+      sample_word_burst(model.rate, dim, rng, mask.flip.mutable_words());
       break;
-    }
   }
   return mask;
+}
+
+FaultMaskBatch sample_fault_masks(const FaultModel& model, std::size_t dim,
+                                  std::span<const std::uint64_t> seeds) {
+  validate(model, dim, "sample_fault_masks");
+  FaultMaskBatch batch;
+  batch.kind = model.kind;
+  batch.dim = dim;
+  batch.words = (dim + 63) / 64;
+  batch.plane.assign(seeds.size() * batch.words, 0);
+  if (model.rate <= 0.0 || seeds.empty()) return batch;
+  if (model.kind == FaultKind::kWordBurst) {
+    for (std::size_t i = 0; i < seeds.size(); ++i) {
+      core::Rng rng(seeds[i]);
+      sample_word_burst(model.rate, dim, rng,
+                        std::span<std::uint64_t>(batch.plane)
+                            .subspan(i * batch.words, batch.words));
+    }
+    return batch;
+  }
+  // The per-seed Rng states, laid out as the kernel's stream array.
+  std::vector<std::uint64_t> state(4 * seeds.size());
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    core::Rng rng(seeds[i]);
+    std::copy(rng.state().begin(), rng.state().end(), state.begin() + 4 * i);
+  }
+  core::kernels::active().bernoulli_streams(
+      state.data(), seeds.size(), dim, core::bernoulli_threshold(model.rate),
+      batch.plane.data(), batch.words);
+  return batch;
+}
+
+void FaultMaskBatch::apply(std::size_t i, core::Hypervector& v) const {
+  if (v.dim() != dim) {
+    throw std::invalid_argument("FaultMaskBatch::apply: dimensionality mismatch");
+  }
+  const auto p = pattern(i);
+  const auto w = v.mutable_words();
+  // The pattern's tail bits are zero, so v keeps its zero tail.
+  switch (kind) {
+    case FaultKind::kTransientFlip:
+    case FaultKind::kWordBurst:
+      for (std::size_t k = 0; k < words; ++k) w[k] ^= p[k];
+      return;
+    case FaultKind::kStuckAtZero:
+      for (std::size_t k = 0; k < words; ++k) w[k] &= ~p[k];
+      return;
+    case FaultKind::kStuckAtOne:
+      for (std::size_t k = 0; k < words; ++k) w[k] |= p[k];
+      return;
+  }
+  HD_UNREACHABLE("FaultMaskBatch::apply: FaultKind outside the enum");
 }
 
 double expected_disturbed_fraction(const FaultModel& model) {

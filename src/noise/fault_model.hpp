@@ -21,6 +21,8 @@
 // batched detection engine makes for clean scans.
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/hypervector.hpp"
 #include "core/rng.hpp"
@@ -80,6 +82,34 @@ struct FaultMask {
 // fault_seed()-derived Rng the pattern is schedule-deterministic.
 FaultMask sample_fault_mask(const FaultModel& model, std::size_t dim,
                             core::Rng& rng);
+
+// Many patterns of one model over equal-width storage sites, one per seed.
+// Pattern i is bit-identical to sample_fault_mask(model, dim,
+// Rng(seeds[i])). Every kind fills exactly one FaultMask plane (flip for
+// transient flips and word bursts, clear for stuck-at-0, set for stuck-at-1),
+// so a batch keeps only that plane, with the patterns back to back.
+struct FaultMaskBatch {
+  FaultKind kind = FaultKind::kTransientFlip;
+  std::size_t dim = 0;
+  std::size_t words = 0;  // per pattern: ceil(dim / 64)
+  // Pattern i occupies [i * words, (i + 1) * words); tail bits are zero.
+  std::vector<std::uint64_t> plane;
+
+  std::size_t size() const { return words == 0 ? 0 : plane.size() / words; }
+  std::span<const std::uint64_t> pattern(std::size_t i) const {
+    return std::span<const std::uint64_t>(plane).subspan(i * words, words);
+  }
+
+  // Pattern i applied to v in place — the same words FaultMask::apply
+  // writes. Throws std::invalid_argument unless v.dim() == dim.
+  void apply(std::size_t i, core::Hypervector& v) const;
+};
+
+// Transient and stuck-at batches come from one kernels::bernoulli_streams
+// call (one xoshiro256** stream per seed, run in SIMD lanes on the wider
+// backends); word bursts draw once per word, as sample_fault_mask does.
+FaultMaskBatch sample_fault_masks(const FaultModel& model, std::size_t dim,
+                                  std::span<const std::uint64_t> seeds);
 
 // Expected fraction of bits of a *fair random* hypervector whose value
 // changes under the model (stuck-at faults only change a cell with

@@ -18,9 +18,11 @@
 //
 // Guarantees:
 //   * Copy-on-inject — the clean words of every patched hypervector are
-//     snapshotted before the fault mask lands, and the float prototype
-//     accumulators are never touched at all (prototype faults go through
-//     HdcClassifier's binary-override layer instead).
+//     snapshotted (into contiguous blocks) before the fault mask lands,
+//     and the float prototype accumulators are never touched at all
+//     (prototype faults go through HdcClassifier's binary-override layer
+//     instead). A binary override the classifier already carried is saved
+//     and reinstated bit for bit by restore().
 //   * Restore-verified — restore() first checks the faulted storage still
 //     matches the checksum recorded at injection (any concurrent mutation of
 //     the patched memories throws std::runtime_error rather than silently
@@ -28,13 +30,16 @@
 //     the restored state checksums to the clean snapshot.
 //   * Deterministic — every sampled mask is a pure function of
 //     (plan.seed, target plane, element index) via noise::fault_seed, so a
-//     session is bit-reproducible across runs and thread counts.
+//     session is bit-reproducible across runs and thread counts. The masks
+//     are drawn in batches (noise::sample_fault_masks), one generator stream
+//     per stored vector, bit-identical to drawing them one at a time.
 //
 // Query-plane faults (noise::FaultTarget::kQuery) are *not* injected here —
 // they are transient per-window events applied inside the scan loop (see
 // ParallelDetectConfig::fault_plan); a session only owns persistent storage.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/hypervector.hpp"
@@ -61,10 +66,11 @@ class FaultSession {
   FaultSession(const FaultSession&) = delete;
   FaultSession& operator=(const FaultSession&) = delete;
 
-  // Write every clean snapshot back and clear the prototype override.
-  // Idempotent. Throws std::runtime_error if the faulted storage was mutated
-  // behind the session's back (checksum mismatch), or if the restored words
-  // fail to verify against the clean snapshot.
+  // Write every clean snapshot back and put the classifier's binary override
+  // back as it was before the session (none, or the saved one). Idempotent.
+  // Throws std::runtime_error if the faulted storage was mutated behind the
+  // session's back (checksum mismatch), or if the restored words fail to
+  // verify against the clean snapshot.
   void restore();
 
   bool active() const { return active_; }
@@ -72,7 +78,7 @@ class FaultSession {
 
   // Stored hypervectors patched in place (prototype overrides not included —
   // they live in a separate override plane, not patched storage).
-  std::size_t patched_vectors() const { return patches_.size(); }
+  std::size_t patched_vectors() const { return targets_.size(); }
 
   // Total bits that differ from clean across all faulted planes, prototype
   // override included. This is the session's empirical disturbance, which
@@ -83,17 +89,31 @@ class FaultSession {
   std::uint64_t faultable_bits() const { return faultable_bits_; }
 
  private:
-  void inject(noise::FaultTarget target, std::uint64_t index,
-              core::Hypervector& stored);
+  // Samples one mask per targets_[i] from seeds[i] and applies it in place.
+  void inject(std::span<const std::uint64_t> seeds);
 
   HdFacePipeline& pipeline_;
   noise::FaultPlan plan_;
 
-  struct Patch {
-    core::Hypervector* target;
-    core::Hypervector clean;
-  };
-  std::vector<Patch> patches_;
+  // Masks are sampled, and clean words snapshotted, this many targets at a
+  // time, so the mask plane and each snapshot block stay 256 KiB at
+  // D = 2048. Freeing one multi-megabyte block instead raises glibc's mmap
+  // threshold, after which every server worker's malloc arena keeps more
+  // memory (served peak RSS rose ~2.5 MB with a single 4.3 MB snapshot).
+  static constexpr std::size_t kChunk = 1024;
+
+  // Clean words of targets_[i], words_ of them.
+  const std::uint64_t* clean_words(std::size_t i) const {
+    return clean_[i / kChunk].data() + (i % kChunk) * words_;
+  }
+
+  // Patched storage, and its clean words in contiguous blocks of kChunk
+  // targets each.
+  std::vector<core::Hypervector*> targets_;
+  std::vector<std::vector<std::uint64_t>> clean_;
+  std::size_t words_ = 0;
+  // The classifier's binary override before the session (empty if none).
+  std::vector<core::Hypervector> saved_override_;
   std::uint64_t faulted_checksum_ = 0;
   std::uint64_t disturbed_bits_ = 0;
   std::uint64_t faultable_bits_ = 0;

@@ -25,15 +25,20 @@ double disturbed_fraction(const core::Hypervector& clean,
 
 // ---- statistical signatures -------------------------------------------------
 
+// gtest names each case by the raw bytes of its parameter. `zero` fills what
+// would otherwise be padding, whose uninitialized bytes made the test names
+// change from run to run.
 struct KindCase {
   FaultKind kind;
+  std::uint32_t zero;
   double rate;
 };
+static_assert(sizeof(KindCase) == 16, "KindCase must have no padding");
 
 class FaultMaskSignature : public ::testing::TestWithParam<KindCase> {};
 
 TEST_P(FaultMaskSignature, DisturbedFractionWithinBinomialBounds) {
-  const auto [kind, rate] = GetParam();
+  const auto [kind, zero, rate] = GetParam();
   const FaultModel model{kind, rate};
   const auto v = random_vector(0xBEEF);
   core::Rng rng(0xF001);
@@ -53,7 +58,7 @@ TEST_P(FaultMaskSignature, DisturbedFractionWithinBinomialBounds) {
 }
 
 TEST_P(FaultMaskSignature, SimilarityMatchesExpectation) {
-  const auto [kind, rate] = GetParam();
+  const auto [kind, zero, rate] = GetParam();
   const FaultModel model{kind, rate};
   const auto v = random_vector(0xCAFE);
   core::Rng rng(0xF002);
@@ -70,13 +75,13 @@ TEST_P(FaultMaskSignature, SimilarityMatchesExpectation) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, FaultMaskSignature,
-    ::testing::Values(KindCase{FaultKind::kTransientFlip, 0.02},
-                      KindCase{FaultKind::kTransientFlip, 0.10},
-                      KindCase{FaultKind::kStuckAtZero, 0.10},
-                      KindCase{FaultKind::kStuckAtOne, 0.10},
-                      KindCase{FaultKind::kWordBurst, 0.10},
-                      KindCase{FaultKind::kStuckAtZero, 0.30},
-                      KindCase{FaultKind::kWordBurst, 0.30}));
+    ::testing::Values(KindCase{FaultKind::kTransientFlip, 0, 0.02},
+                      KindCase{FaultKind::kTransientFlip, 0, 0.10},
+                      KindCase{FaultKind::kStuckAtZero, 0, 0.10},
+                      KindCase{FaultKind::kStuckAtOne, 0, 0.10},
+                      KindCase{FaultKind::kWordBurst, 0, 0.10},
+                      KindCase{FaultKind::kStuckAtZero, 0, 0.30},
+                      KindCase{FaultKind::kWordBurst, 0, 0.30}));
 
 // ---- algebraic properties ---------------------------------------------------
 

@@ -9,6 +9,8 @@
 #include "dataset/face_generator.hpp"
 #include "hog/hd_hog.hpp"
 #include "image/transform.hpp"
+#include "learn/hdc_model.hpp"
+#include "pipeline/hdface_pipeline.hpp"
 
 namespace hdface::serve {
 namespace {
@@ -306,6 +308,57 @@ TEST(DetectionServer, ConcurrentServingIsBitIdenticalToDirectCalls) {
   }
   server.shutdown();
   EXPECT_TRUE(server.stats().conserved());
+}
+
+// A model may carry a binary-prototype override of its own. A faulted
+// request installs a faulted override for its scan; afterwards the model's
+// own override must be back bit for bit, so clean requests served after the
+// faulted one still equal direct Detector::detect calls.
+TEST(DetectionServer, FaultedRequestRestoresTheModelsOwnOverride) {
+  const api::Detector det = trained_detector();
+  auto& classifier = det.pipeline()->mutable_classifier();
+  std::vector<core::Hypervector> own = classifier.binary_prototypes();
+  for (std::size_t i = 0; i < own[1].dim(); i += 5) own[1].flip(i);
+  classifier.set_binary_override(own);
+
+  api::Request clean;
+  clean.id = 1;
+  clean.scene = test_scene(3 * kWindow, 501);
+  clean.options.threads = 1;
+  clean.options.stride = kWindow / 2;
+  api::Request faulted = clean;
+  faulted.id = 2;
+  noise::FaultPlan plan;
+  plan.model = {noise::FaultKind::kStuckAtOne, 0.05};
+  faulted.options.fault_plan = plan;
+
+  api::Detector direct = det;
+  auto expected = direct.detect(clean);
+  ASSERT_TRUE(expected.ok()) << expected.error().message;
+  const auto want = std::move(expected).take().detections;
+  ASSERT_FALSE(want.empty());
+
+  DetectionServer server(det, manual_config(4));
+  auto first = server.submit(faulted);
+  api::Request again = clean;
+  again.id = 3;
+  auto second = server.submit(again);
+  ASSERT_TRUE(first.admitted() && second.admitted());
+  while (server.step()) {
+  }
+  ASSERT_TRUE(first.response.get().ok());
+  auto outcome = second.response.get();
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+  const auto& served = outcome.value().detections;
+  ASSERT_EQ(served.size(), want.size());
+  for (std::size_t d = 0; d < served.size(); ++d) {
+    EXPECT_EQ(served[d].x, want[d].x) << "box " << d;
+    EXPECT_EQ(served[d].y, want[d].y) << "box " << d;
+    EXPECT_EQ(served[d].size, want[d].size) << "box " << d;
+    EXPECT_EQ(served[d].score, want[d].score) << "box " << d;
+  }
+  ASSERT_TRUE(classifier.has_binary_override());
+  EXPECT_EQ(classifier.binary_override(), own);
 }
 
 }  // namespace
