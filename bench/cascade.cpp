@@ -194,7 +194,6 @@ int main(int argc, char** argv) {
   api::DetectOptions exact_opts;
   exact_opts.threads = threads;
   exact_opts.stride = stride;
-  exact_opts.encode_mode = pipeline::EncodeMode::kCellPlane;
 
   // --- exact scan: golden maps + baseline time -----------------------------
   std::vector<pipeline::DetectionMap> golden(scenes.size());
@@ -244,7 +243,6 @@ int main(int argc, char** argv) {
       std::gcd(stride, det.pipeline()->config().hog.cell_size);
   pipeline::ParallelDetectConfig scan_cfg;
   scan_cfg.threads = threads;
-  scan_cfg.encode_mode = pipeline::EncodeMode::kCellPlane;
   std::vector<hog::CellPlane> planes(scenes.size());
   const double t_plane = best_of(reps, [&] {
     for (std::size_t i = 0; i < scenes.size(); ++i) {

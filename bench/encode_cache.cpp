@@ -5,9 +5,11 @@
 //
 // The reference multiscale scene (two planted faces, window 32, stride 4,
 // scales {1.0, 0.75, 0.5}) is encoded two ways per pyramid level:
-//   per_window — the engine's historical path: every window re-runs the full
-//                per-pixel stochastic chain on its own reseeded scratch,
-//   cell_plane — the scene-level cache: the chain runs once per grid cell,
+//   per_window — a bench-local baseline: every window is cropped and
+//                re-runs the full per-pixel stochastic chain through the
+//                per-image encode (HdFacePipeline::encode_image) on its own
+//                reseeded scratch,
+//   cell_plane — the engine's scan: the chain runs once per grid cell,
 //                windows assemble from cached cells (hog/cell_plane.hpp).
 // With stride 4 and 8px cells each pixel sits in (32/4)² = 64 windows, so the
 // cache should cut encode work by well over an order of magnitude; the
@@ -82,10 +84,32 @@ std::uint64_t map_hash(const pipeline::DetectionMap& m) {
   return h;
 }
 
-// The engine's per-window salt (pipeline/parallel_detect.cpp): the encode-only
-// loop below must replay the exact stream the per_window scan uses so the
-// measured stage cost is the real one.
+// Seed salt of the per_window baseline's per-window reseed stream.
 constexpr std::uint64_t kWindowStreamSalt = 0xBA7C4ED0ULL;
+
+// The per_window baseline over every pyramid level: crop each window, encode
+// it on a scratch reseeded from its window index, and (when `classify`)
+// score it against the classifier. The encode row times it without
+// classification, the end-to-end row with.
+void per_window_scan(const pipeline::HdFacePipeline& pipe,
+                     const pipeline::ScalePyramid& pyramid, std::size_t window,
+                     std::size_t stride, bool classify) {
+  const std::uint64_t seed_base =
+      core::mix64(pipe.config().seed, kWindowStreamSalt);
+  core::StochasticContext scratch = pipe.fork_context(seed_base);
+  image::Image patch;
+  for (const auto& level : pyramid.levels) {
+    const std::size_t sx_n = (level.width() - window) / stride + 1;
+    const std::size_t sy_n = (level.height() - window) / stride + 1;
+    for (std::size_t idx = 0; idx < sx_n * sy_n; ++idx) {
+      scratch.reseed(core::mix64(seed_base, idx));
+      image::crop_into(level, (idx % sx_n) * stride, (idx / sx_n) * stride,
+                       window, window, patch);
+      const core::Hypervector feature = pipe.encode_image(patch, scratch);
+      if (classify) (void)pipe.classifier().scores(feature);
+    }
+  }
+}
 
 }  // namespace
 
@@ -139,25 +163,11 @@ int main(int argc, char** argv) {
 
   // --- encode stage only (no classification) -------------------------------
   pipe.prepare_concurrent();
-  const std::uint64_t seed_base =
-      core::mix64(pipe.config().seed, kWindowStreamSalt);
   const std::size_t grid_step =
       std::gcd(stride, pipe.hd_extractor()->config().hog.cell_size);
 
-  const double t_enc_window = best_of(reps, [&] {
-    core::StochasticContext scratch = pipe.fork_context(seed_base);
-    image::Image patch;
-    for (const auto& level : pyramid.levels) {
-      const std::size_t sx_n = (level.width() - window) / stride + 1;
-      const std::size_t sy_n = (level.height() - window) / stride + 1;
-      for (std::size_t idx = 0; idx < sx_n * sy_n; ++idx) {
-        scratch.reseed(core::mix64(seed_base, idx));
-        image::crop_into(level, (idx % sx_n) * stride, (idx / sx_n) * stride,
-                         window, window, patch);
-        (void)pipe.encode_image(patch, scratch);
-      }
-    }
-  });
+  const double t_enc_window = best_of(
+      reps, [&] { per_window_scan(pipe, pyramid, window, stride, false); });
 
   pipeline::EncodeCacheStats stats;
   const double t_enc_plane = best_of(reps, [&] {
@@ -184,15 +194,17 @@ int main(int argc, char** argv) {
   stats.windows_assembled = windows_total;
 
   // --- end-to-end multiscale detect ----------------------------------------
-  api::DetectOptions per_window;
-  per_window.threads = 1;
-  per_window.stride = stride;
-  per_window.scales = scales;
-  const double t_det_window =
-      best_of(reps, [&] { (void)det.detect(scene, per_window); });
+  // The baseline's pyramid is built inside the timed region, like the
+  // engine's.
+  const double t_det_window = best_of(reps, [&] {
+    per_window_scan(pipe, pipeline::build_pyramid(scene, window, scales),
+                    window, stride, true);
+  });
 
-  api::DetectOptions cell_plane = per_window;
-  cell_plane.encode_mode = pipeline::EncodeMode::kCellPlane;
+  api::DetectOptions cell_plane;
+  cell_plane.threads = 1;
+  cell_plane.stride = stride;
+  cell_plane.scales = scales;
   const double t_det_plane =
       best_of(reps, [&] { (void)det.detect(scene, cell_plane); });
   const double detect_speedup = t_det_window / t_det_plane;
@@ -204,7 +216,6 @@ int main(int argc, char** argv) {
     api::DetectOptions opts;
     opts.threads = threads;
     opts.stride = stride;
-    opts.encode_mode = pipeline::EncodeMode::kCellPlane;
     auto map = det.detect_map(scene, opts);
     if (threads == 1u) {
       base = std::move(map);

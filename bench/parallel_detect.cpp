@@ -3,12 +3,11 @@
 // hdlint: allow-file(wall-clock) — this bench *measures* elapsed time; the
 // timings are reported output and never influence what the detector computes.
 //
-// A fig6-style clutter scene (several planted faces) is scanned three ways:
-//   legacy   — the seed's serial SlidingWindowDetector::detect (one RNG chain
-//              threaded through the whole scan),
+// A fig6-style clutter scene (several planted faces) is scanned with
+// DetectOptions{} (the cell-plane scan) two ways:
 //   engine@1 — the batched engine pinned to one thread,
 //   engine@N — the batched engine on all hardware cores.
-// The engine@1 and engine@N maps must be bit-identical (the per-window
+// The engine@1 and engine@N maps must be bit-identical (the per-cell
 // seeding contract); the speedup engine@1 / engine@N is the headline number.
 // Results land in bench_out/parallel_detect.json.
 //
@@ -27,7 +26,6 @@
 #include "common.hpp"
 #include "dataset/background_generator.hpp"
 #include "image/transform.hpp"
-#include "pipeline/sliding_window.hpp"
 
 namespace {
 
@@ -97,12 +95,6 @@ int main(int argc, char** argv) {
   std::printf("scene %zux%zu, %zu windows, %zu hardware core(s)\n\n",
               scene.width(), scene.height(), steps_x * steps_y, hw);
 
-  // Legacy serial path (the seed behavior, for reference only — its random
-  // stream differs from the engine's by design).
-  pipeline::SlidingWindowDetector legacy(det.pipeline(), window, stride);
-  const double t_legacy =
-      best_of(reps, [&] { (void)legacy.detect(scene); });
-
   api::DetectOptions one;
   one.threads = 1;
   one.stride = stride;
@@ -115,47 +107,20 @@ int main(int argc, char** argv) {
   const double t_many =
       best_of(reps, [&] { map_many = det.detect_map(scene, many); });
 
-  // Cell-plane encode mode (a different — deterministic — random stream than
-  // per_window; compared for speed and its own bit-identity, not map
-  // equality).
-  api::DetectOptions cache_one = one;
-  cache_one.encode_mode = pipeline::EncodeMode::kCellPlane;
-  pipeline::DetectionMap map_cache_one;
-  const double t_cache_one =
-      best_of(reps, [&] { map_cache_one = det.detect_map(scene, cache_one); });
-
-  api::DetectOptions cache_many = cache_one;
-  cache_many.threads = n_threads;
-  pipeline::DetectionMap map_cache_many;
-  const double t_cache_many =
-      best_of(reps, [&] { map_cache_many = det.detect_map(scene, cache_many); });
-
   const bool identical = maps_identical(map_one, map_many);
-  const bool cache_identical = maps_identical(map_cache_one, map_cache_many);
   const double speedup = t_one / t_many;
-  const double cache_speedup = t_one / t_cache_one;
 
   util::Table table({"path", "threads", "best ms", "speedup vs engine@1"});
   char buf[64];
   char spd[32];
-  std::snprintf(buf, sizeof buf, "%.1f", t_legacy);
-  table.add_row({"legacy serial", "1", buf, "-"});
   std::snprintf(buf, sizeof buf, "%.1f", t_one);
   table.add_row({"engine", "1", buf, "1.00x"});
   std::snprintf(buf, sizeof buf, "%.1f", t_many);
   std::snprintf(spd, sizeof spd, "%.2fx", speedup);
   table.add_row({"engine", std::to_string(n_threads), buf, spd});
-  std::snprintf(buf, sizeof buf, "%.1f", t_cache_one);
-  std::snprintf(spd, sizeof spd, "%.2fx", cache_speedup);
-  table.add_row({"engine cell-plane", "1", buf, spd});
-  std::snprintf(buf, sizeof buf, "%.1f", t_cache_many);
-  std::snprintf(spd, sizeof spd, "%.2fx", t_one / t_cache_many);
-  table.add_row({"engine cell-plane", std::to_string(n_threads), buf, spd});
   std::printf("%s\n", table.to_string().c_str());
   std::printf("engine@1 vs engine@%zu maps: %s\n", n_threads,
               identical ? "bit-identical" : "MISMATCH");
-  std::printf("cell-plane@1 vs cell-plane@%zu maps: %s\n", n_threads,
-              cache_identical ? "bit-identical" : "MISMATCH");
 
   std::size_t positives = 0;
   for (const int p : map_many.predictions) positives += (p == 1);
@@ -174,23 +139,16 @@ int main(int argc, char** argv) {
                  "  \"hardware_threads\": %zu,\n"
                  "  \"bench_threads\": %zu,\n"
                  "  \"reps\": %zu,\n"
-                 "  \"legacy_serial_ms\": %.3f,\n"
                  "  \"engine_1thread_ms\": %.3f,\n"
                  "  \"engine_nthread_ms\": %.3f,\n"
                  "  \"speedup\": %.3f,\n"
-                 "  \"maps_bit_identical\": %s,\n"
-                 "  \"cellplane_1thread_ms\": %.3f,\n"
-                 "  \"cellplane_nthread_ms\": %.3f,\n"
-                 "  \"cellplane_speedup_vs_perwindow\": %.3f,\n"
-                 "  \"cellplane_maps_bit_identical\": %s\n"
+                 "  \"maps_bit_identical\": %s\n"
                  "}\n",
                  scene.width(), scene.height(), window, stride,
-                 steps_x * steps_y, dim, hw, n_threads, reps, t_legacy, t_one,
-                 t_many, speedup, identical ? "true" : "false", t_cache_one,
-                 t_cache_many, cache_speedup,
-                 cache_identical ? "true" : "false");
+                 steps_x * steps_y, dim, hw, n_threads, reps, t_one, t_many,
+                 speedup, identical ? "true" : "false");
     std::fclose(json);
     std::printf("written: bench_out/parallel_detect.json\n");
   }
-  return (identical && cache_identical) ? 0 : 1;
+  return identical ? 0 : 1;
 }

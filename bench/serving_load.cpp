@@ -8,7 +8,7 @@
 // Three phases, all drawing from one seed-pure RequestFactory:
 //   1. verify  — serve the full request mix concurrently, then replay every
 //                request id through direct detect(); detections must match
-//                bit-for-bit (the engine's per-window seeding contract lifted
+//                bit-for-bit (the engine's per-cell seeding contract lifted
 //                through the queue/worker machinery).
 //   2. closed  — sweep client concurrency (1, 2, 4, ...); offered load adapts
 //                to the server, tracing the throughput ceiling.

@@ -18,10 +18,26 @@ namespace hdface::api {
 
 namespace {
 
-// Options validation shared by every detect entry point: the Request path
-// returns the Error, the legacy wrappers throw it.
-void validate_or_throw(const DetectOptions& options) {
-  if (auto err = validate(options)) throw InvalidOptionsError(std::move(*err));
+// Everything that makes a scan unrunnable before it starts, shared by every
+// detect entry point (the Request path returns the Error, the legacy wrappers
+// throw it): options that fail validate(), and an orig-HOG pipeline, which
+// has no per-cell hypervector encode to scan with.
+std::optional<Error> scan_error(pipeline::HdFacePipeline& pipeline,
+                                const DetectOptions& options) {
+  if (auto err = validate(options)) return err;
+  if (pipeline.hd_extractor() == nullptr) {
+    return Error::invalid_options(
+        "Detector: scene scans need an HD-HOG pipeline (orig-HOG features "
+        "have no cell-plane encode)");
+  }
+  return std::nullopt;
+}
+
+void check_or_throw(pipeline::HdFacePipeline& pipeline,
+                    const DetectOptions& options) {
+  if (auto err = scan_error(pipeline, options)) {
+    throw InvalidOptionsError(std::move(*err));
+  }
 }
 
 // Builds the per-call staged scorer for calibrated cascade requests (exact
@@ -62,16 +78,12 @@ pipeline::ParallelDetectConfig Detector::engine_config(
     const DetectOptions& options, const pipeline::Cascade* cascade) const {
   pipeline::ParallelDetectConfig engine;
   engine.threads = options.threads;
-  // Telemetry wins wholesale over the deprecated alias fields (see
-  // api/types.hpp). Both point into caller-owned sinks that outlive the call.
+  // The sinks point into caller-owned storage that outlives the call.
   if (options.telemetry) {
     engine.feature_counter = options.telemetry->feature_ops;
     engine.cache_stats = options.telemetry->encode_cache;
     engine.cascade_stats = options.telemetry->cascade;
     engine.cascade_per_scale = options.telemetry->cascade_per_scale;
-  } else {
-    engine.feature_counter = options.feature_counter;
-    engine.cache_stats = options.encode_cache_stats;
   }
   // Points into the caller's options, which outlive the scan call.
   engine.fault_plan = options.fault_plan ? &*options.fault_plan : nullptr;
@@ -83,7 +95,7 @@ pipeline::ParallelDetectConfig Detector::engine_config(
 
 pipeline::DetectionMap Detector::detect_map(const image::Image& scene,
                                             const DetectOptions& options) {
-  validate_or_throw(options);
+  check_or_throw(*pipeline_, options);
   const core::kernels::ScopedBackend backend(options.kernel_backend);
   if (options.fault_plan) {
     // Inject the plan's stored-memory faults for the duration of the scan;
@@ -142,12 +154,14 @@ std::vector<pipeline::Detection> Detector::detect_validated(
 
 std::vector<pipeline::Detection> Detector::detect(const image::Image& scene,
                                                   const DetectOptions& options) {
-  validate_or_throw(options);
+  check_or_throw(*pipeline_, options);
   return detect_validated(scene, options);
 }
 
 Outcome<Response> Detector::detect(const Request& request) {
-  if (auto err = validate(request.options)) return std::move(*err);
+  if (auto err = scan_error(*pipeline_, request.options)) {
+    return std::move(*err);
+  }
   if (request.scene.width() < window_ || request.scene.height() < window_) {
     return Error::invalid_options("Request: scene smaller than the detector window");
   }
@@ -157,8 +171,8 @@ Outcome<Response> Detector::detect(const Request& request) {
   try {
     response.detections = detect_validated(request.scene, request.options);
   } catch (const std::invalid_argument& e) {
-    // Engine-level rejections (unavailable kernel backend, encode mode
-    // unsupported by this pipeline, degenerate geometry) stay typed.
+    // Engine-level rejections (unavailable kernel backend, a cascade table
+    // that does not fit the model, degenerate geometry) stay typed.
     return Error::invalid_options(e.what());
   } catch (const std::exception& e) {
     return Error::internal(e.what());

@@ -85,14 +85,15 @@ class Detector {
 
   // Single-scale batched scan: the full per-window map (paper Fig 6 shape).
   // Uses options.threads/stride; scales/nms do not apply to the map view.
-  // Throws InvalidOptionsError (a std::invalid_argument) on bad options.
+  // Throws InvalidOptionsError (a std::invalid_argument) on bad options or
+  // an orig-HOG pipeline (scans need the HD-HOG cell encode).
   pipeline::DetectionMap detect_map(const image::Image& scene,
                                     const DetectOptions& options = {});
 
   // Boxes after scale merge (and NMS when enabled): single-scale when
   // options.scales == {1.0}, image-pyramid otherwise. Sorted by descending
   // score. Throws InvalidOptionsError (a std::invalid_argument) on bad
-  // options.
+  // options or an orig-HOG pipeline.
   std::vector<pipeline::Detection> detect(const image::Image& scene,
                                           const DetectOptions& options = {});
 

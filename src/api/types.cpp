@@ -26,34 +26,8 @@ std::optional<Error> validate(const DetectOptions& options) {
   if (!std::isfinite(options.score_threshold)) {
     return Error::invalid_options("DetectOptions: score_threshold not finite");
   }
-  // Cross-field: a fault campaign on the cell-plane path runs its injected
-  // stored-memory faults through the shared scene cache; without an
-  // encode-cache stats sink the campaign's cache coverage is unauditable and
-  // the engine used to proceed silently. Either sink form (telemetry or the
-  // deprecated alias) satisfies the contract.
-  if (options.fault_plan &&
-      options.encode_mode == pipeline::EncodeMode::kCellPlane) {
-    const pipeline::EncodeCacheStats* sink = options.telemetry
-                                                 ? options.telemetry->encode_cache
-                                                 : options.encode_cache_stats;
-    if (sink == nullptr) {
-      return Error::invalid_options(
-          "DetectOptions: fault_plan with encode_mode=cell_plane requires an "
-          "encode-cache stats sink (telemetry.encode_cache)");
-    }
-  }
-  if (options.plane_mode == pipeline::PlaneMode::kLazy &&
-      options.encode_mode != pipeline::EncodeMode::kCellPlane) {
-    return Error::invalid_options(
-        "DetectOptions: plane_mode=lazy requires encode_mode=cell_plane (the "
-        "per-window encode has no plane to materialize)");
-  }
   if (options.cascade &&
       options.cascade->mode == pipeline::CascadeMode::kCalibrated) {
-    if (options.encode_mode != pipeline::EncodeMode::kCellPlane) {
-      return Error::invalid_options(
-          "DetectOptions: calibrated cascade requires encode_mode=cell_plane");
-    }
     if (options.fault_plan) {
       return Error::invalid_options(
           "DetectOptions: calibrated cascade is incompatible with fault_plan");

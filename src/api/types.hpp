@@ -46,7 +46,9 @@ namespace hdface::api {
 enum class ErrorCode : std::uint8_t {
   kOk = 0,
   // DetectOptions failed validate(): empty scales, scale outside (0,1],
-  // stride 0, non-finite thresholds, or a scene smaller than the window.
+  // stride 0, non-finite thresholds — or the scan cannot run on this
+  // detector: a scene smaller than the window, or an orig-HOG pipeline (no
+  // hypervector cell encode to scan with).
   kInvalidOptions,
   // Admission control: the bounded request queue is at capacity. The caller
   // should back off and retry (the serving layer's backpressure signal).
@@ -153,11 +155,7 @@ class Outcome {
 // ---------------------------------------------------------------------------
 // Telemetry
 
-// Optional observability sinks for one detect call. Replaces the raw
-// observer pointers that used to live directly on DetectOptions
-// (feature_counter / encode_cache_stats — still present as deprecated
-// aliases for one release; when `telemetry` is set it wins wholesale and
-// the legacy fields are ignored).
+// Optional observability sinks for one detect call.
 //
 // Lifetime contract: every sink must stay alive until the detect call
 // returns — for served requests, until the response future resolves. Sinks
@@ -167,7 +165,7 @@ class Outcome {
 struct Telemetry {
   // Feature-op accounting (exact totals at any thread count).
   core::OpCounter* feature_ops = nullptr;
-  // Cell-plane cache accounting (untouched in kPerWindow mode).
+  // Cell-plane cache accounting.
   pipeline::EncodeCacheStats* encode_cache = nullptr;
   // Cascade stage accounting (untouched unless the call runs a calibrated
   // cascade): per-stage entered/rejected counts plus exact-scored survivors,
@@ -181,8 +179,9 @@ struct Telemetry {
 // ---------------------------------------------------------------------------
 // DetectOptions
 
-// Per-call scan options. The defaults reproduce the seed's behavior: native
-// scale, stride 8, no NMS — but batched across all cores. Validated by
+// Per-call scan options. The defaults scan at native scale, stride 8, no NMS,
+// on the eager cell plane with exact scoring, batched across all cores.
+// Validated by
 // api::validate(); the Request path returns a typed kInvalidOptions Error,
 // the legacy wrappers throw InvalidOptionsError.
 struct DetectOptions {
@@ -202,29 +201,20 @@ struct DetectOptions {
   double score_threshold = 0.0;
   // Class treated as "detection" in binary workloads.
   int positive_class = 1;
-  // Deprecated alias (one release): use telemetry.feature_ops. Ignored when
-  // `telemetry` is set.
-  core::OpCounter* feature_counter = nullptr;
-  // Encode strategy for the batched engine. kPerWindow (default) reproduces
-  // the engine's historical bit streams exactly; kCellPlane computes the
-  // per-pixel stochastic chain once per scene cell and assembles windows from
-  // the cache — roughly (window/stride)²-cheaper on the encode stage, still
-  // bit-identical at every thread count, but a (deterministically) different
-  // random stream than kPerWindow. Requires an HD-HOG pipeline.
-  pipeline::EncodeMode encode_mode = pipeline::EncodeMode::kPerWindow;
-  // Cell-plane population strategy for kCellPlane scans (ignored by
-  // kPerWindow). kEager (default) builds the whole scene plane before
-  // scanning; kLazy materializes each cell on its first window read — the
-  // DetectionMap is bit-identical (every cell reseeds from the same pure
-  // per-cell key), and with a prescreen-carrying calibrated cascade most
-  // cells of a sparse scene are never encoded at all. validate() rejects
-  // kLazy without kCellPlane.
+  // Encode strategy: the scene-level cell plane is the only one (see
+  // pipeline/encode_mode.hpp). The per-pixel stochastic chain runs once per
+  // scene cell and windows assemble from the cache — bit-identical at every
+  // thread count. Requires an HD-HOG pipeline; scans on an orig-HOG pipeline
+  // fail with kInvalidOptions.
+  pipeline::EncodeMode encode_mode = pipeline::EncodeMode::kCellPlane;
+  // Cell-plane population strategy. kEager (default) builds the whole scene
+  // plane before scanning; kLazy materializes each cell on its first window
+  // read — the DetectionMap is bit-identical (every cell reseeds from the
+  // same pure per-cell key), and with a prescreen-carrying calibrated
+  // cascade most cells of a sparse scene are never encoded at all.
   pipeline::PlaneMode plane_mode = pipeline::PlaneMode::kEager;
-  // Deprecated alias (one release): use telemetry.encode_cache. Ignored when
-  // `telemetry` is set.
-  pipeline::EncodeCacheStats* encode_cache_stats = nullptr;
   // Observability sinks for this call (see Telemetry for the lifetime
-  // contract). When set, the deprecated alias fields above are ignored.
+  // contract).
   std::optional<Telemetry> telemetry;
   // Fault-injection plan for robustness studies. When set, the scan runs
   // against a detector whose stored hypervector memories (item memories,
@@ -242,10 +232,9 @@ struct DetectOptions {
   // the pre-cascade path untouched and stays bit-identical to it. kCalibrated
   // scores every window through the table's calibrated prefix stages and
   // escalates only survivors to the exact full-D path; survivor results are
-  // bit-identical to an exact scan. Calibrated mode requires
-  // encode_mode == kCellPlane (the per-window encode has no cheap prefix), a
-  // table whose positive_class matches this call's, and no fault_plan —
-  // validate() rejects those combinations with typed errors, along with
+  // bit-identical to an exact scan. Calibrated mode requires a table whose
+  // positive_class matches this call's and no fault_plan — validate()
+  // rejects those combinations with typed errors, along with
   // structurally malformed tables (no stages, non-ascending stage words,
   // non-finite thresholds).
   std::optional<pipeline::CascadeConfig> cascade;
@@ -263,14 +252,11 @@ struct DetectOptions {
 
 // Fail-fast options validation: empty scales, scale outside (0,1], stride 0,
 // non-finite nms_iou/score_threshold — plus the cross-field contracts the
-// engine would otherwise only trip deep inside a scan: a fault_plan on the
-// cell-plane encode path without an encode-cache stats sink (fault campaigns
-// on a shared plane cache must stay auditable), and a calibrated cascade
-// without kCellPlane, with a fault_plan, with a positive_class mismatched
-// against its table, or with a structurally malformed table. Returns nullopt
-// when the options are usable. Shared by the Request path (typed Error), the
-// legacy wrappers (InvalidOptionsError) and serving admission (rejected
-// before queueing).
+// engine would otherwise only trip deep inside a scan: a calibrated cascade
+// with a fault_plan, with a positive_class mismatched against its table, or
+// with a structurally malformed table. Returns nullopt when the options are
+// usable. Shared by the Request path (typed Error), the legacy wrappers
+// (InvalidOptionsError) and serving admission (rejected before queueing).
 std::optional<Error> validate(const DetectOptions& options);
 
 // ---------------------------------------------------------------------------

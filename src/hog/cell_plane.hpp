@@ -2,9 +2,9 @@
 
 // Scene-level cell-plane encode cache for sliding-window detection.
 //
-// The per-window HD-HOG encode re-runs the full per-pixel stochastic
+// Encoding each window on its own would re-run the full per-pixel stochastic
 // gradient/bin/magnitude chain for every window, so with window w and stride s
-// each pixel is encoded up to (w/s)² times. But the expensive part of
+// each pixel would be encoded up to (w/s)² times. But the expensive part of
 // HdHogExtractor::slot_record — everything before window normalization — only
 // depends on the *cell* a pixel belongs to, not on which window is looking at
 // it. A CellPlane computes the raw per-(cell, bin) decoded slot values once
@@ -17,16 +17,16 @@
 // cell_plane_seed(), so the plane — and every window assembled from it — is a
 // pure function of (trained model, scene pixels, scale index), independent of
 // thread count, chunk boundaries, and window enumeration order. Note this is
-// a (deterministically) different random stream than the per-window encode,
-// whose chain reseeds per window index: the two encode modes agree
-// statistically, not bit-for-bit (tests pin the agreement rate).
+// a (deterministically) different random stream than encoding a cropped
+// window with HdFacePipeline::encode_image: the two agree statistically, not
+// bit-for-bit (tests pin the agreement rate).
 //
 // Grid geometry: cell origins sit at multiples of `grid_step`, which callers
 // choose as gcd(stride, cell_size) so every cell of every window lands on the
 // grid. When stride is a multiple of the cell size (the common dense-scan
 // setup) the plane is exactly the scene cell grid; as the gcd shrinks the
-// plane densifies and the amortization fades (per_window encode is the better
-// mode at gcd 1 — the cache never makes results wrong, only slower).
+// plane densifies and the amortization fades (at gcd 1 every pixel offset is
+// a grid cell — the cache never makes results wrong, only slower).
 
 #include <cstddef>
 #include <cstdint>
@@ -37,7 +37,7 @@
 namespace hdface::hog {
 
 // Salt separating the cell-plane seed stream from every other consumer of the
-// pipeline seed (the per-window engine uses its own salt).
+// pipeline seed.
 inline constexpr std::uint64_t kCellPlaneSalt = 0xCE11'91A7ULL;
 
 // Pure per-cell reseed key: (seed, scale index, grid coordinates).

@@ -295,7 +295,6 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
 
   ParallelDetectConfig engine;
   engine.threads = config.threads;
-  engine.encode_mode = EncodeMode::kCellPlane;
 
   hog::HdHogExtractor::StagedWindow win(*extractor);
   std::vector<std::size_t> cum(classes);

@@ -9,31 +9,28 @@
 
 namespace hdface::pipeline {
 
-// How the scan turns window pixels into feature hypervectors.
+// How the scan turns window pixels into feature hypervectors. The
+// scene-level cell plane (hog/cell_plane.hpp) is the only scan encode: the
+// per-pixel stochastic chain runs once per grid cell of the whole scene, each
+// cell reseeded from the pure key (pipeline seed, scale_index, gx, gy), and
+// windows assemble from the cached cells — bit-identical at every thread
+// count. Requires an HD-HOG pipeline (kOrigHogEncoder has no hypervector
+// encode to cache; the facade rejects such scans with kInvalidOptions).
+// The enum keeps its one enumerator only because the end-to-end benchmark
+// (e2ebench/cpp/scan.cpp) assigns it; it goes once that benchmark stops.
 enum class EncodeMode {
-  // Seed behavior: every window re-runs the full per-pixel stochastic chain
-  // on its own reseeded scratch context.
-  kPerWindow,
-  // Scene-level cell-plane cache (hog/cell_plane.hpp): the per-pixel chain
-  // runs once per grid cell of the whole scene, windows assemble from cached
-  // cells. Roughly (window/stride)²-cheaper on the encode stage; results are
-  // a (deterministically) different random stream than kPerWindow, still
-  // bit-identical at every thread count. Requires an HD-HOG pipeline
-  // (kOrigHogEncoder has no hypervector encode to cache — throws
-  // std::invalid_argument).
   kCellPlane,
 };
 
-// How the cell-plane cache is populated (ignored by kPerWindow scans).
+// How the cell-plane cache is populated.
 enum class PlaneMode {
-  // Seed behavior: build_scene_cell_plane encodes EVERY grid cell up front.
+  // build_scene_cell_plane encodes EVERY grid cell up front.
   kEager,
   // Lazy materialization (hog/lazy_cell_plane.hpp): a cell's stochastic chain
   // runs the first time any window reads it. Bit-identical DetectionMaps to
   // kEager by construction (every cell reseeds from the same pure key); the
   // win is cells never read — with a prescreen-carrying cascade, cells that
-  // belong only to prescreen-rejected windows are never encoded. Requires
-  // EncodeMode::kCellPlane (throws std::invalid_argument otherwise).
+  // belong only to prescreen-rejected windows are never encoded.
   kLazy,
 };
 
@@ -59,7 +56,7 @@ struct EncodeCacheStats {
   // probes answered by an already-materialized cell.
   std::uint64_t ensure_checks = 0;
   // Cached (cell, bin) slot values consumed by window assembly (the hit
-  // side; per_window mode would have recomputed each of these). A
+  // side; a per-window encode would have recomputed each of these). A
   // prescreen-rejected window consumes only its parity-subset slots.
   std::uint64_t slot_reads = 0;
   std::uint64_t windows_assembled = 0;

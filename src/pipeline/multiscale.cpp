@@ -119,13 +119,6 @@ MultiScaleDetector::MultiScaleDetector(std::shared_ptr<HdFacePipeline> pipeline,
   }
 }
 
-MultiScaleDetector::MultiScaleDetector(HdFacePipeline& pipeline,
-                                       std::size_t window,
-                                       const MultiScaleConfig& config)
-    : MultiScaleDetector(
-          std::shared_ptr<HdFacePipeline>(&pipeline, [](HdFacePipeline*) {}),
-          window, config) {}
-
 std::vector<Detection> MultiScaleDetector::merge_scales(
     const ScalePyramid& pyramid, const std::vector<DetectionMap>& maps) const {
   std::vector<Detection> all;
@@ -155,15 +148,6 @@ std::vector<Detection> MultiScaleDetector::merge_scales(
   return kept;
 }
 
-std::vector<Detection> MultiScaleDetector::detect(const image::Image& scene) {
-  const ScalePyramid pyramid = build_pyramid(scene, window_, config_.scales);
-  SlidingWindowDetector single(pipeline_, window_, config_.stride);
-  std::vector<DetectionMap> maps;
-  maps.reserve(pyramid.levels.size());
-  for (const auto& level : pyramid.levels) maps.push_back(single.detect(level));
-  return merge_scales(pyramid, maps);
-}
-
 std::vector<Detection> MultiScaleDetector::detect(
     const image::Image& scene, const ParallelDetectConfig& engine) {
   // The pyramid is the per-scale resized-image cache: each level is resized
@@ -174,7 +158,7 @@ std::vector<Detection> MultiScaleDetector::detect(
   // Levels run sequentially, windows within a level in parallel: window work
   // dominates (levels are few, windows are thousands), and this keeps every
   // level's result bit-identical to its own single-level scan. Each level
-  // scans under its own scale_index so the cell-plane encode mode draws an
+  // scans under its own scale_index so the cell-plane encode draws an
   // independent deterministic stream per pyramid level (same-sized levels
   // would otherwise share cell seeds).
   for (std::size_t level = 0; level < pyramid.levels.size(); ++level) {

@@ -1,7 +1,7 @@
 #pragma once
 
 // Multi-scale face detection: an image pyramid feeds the single-scale
-// sliding-window detector, detections are mapped back to scene coordinates
+// batched scan, detections are mapped back to scene coordinates
 // and merged with non-maximum suppression. This is the standard deployment
 // wrapper around the paper's Fig 6 single-scale scan (faces in real scenes
 // are not window-sized).
@@ -13,7 +13,6 @@
 #include "image/pnm.hpp"
 #include "pipeline/detection.hpp"
 #include "pipeline/parallel_detect.hpp"
-#include "pipeline/sliding_window.hpp"
 
 namespace hdface::pipeline {
 
@@ -73,16 +72,9 @@ class MultiScaleDetector {
   MultiScaleDetector(std::shared_ptr<HdFacePipeline> pipeline,
                      std::size_t window, const MultiScaleConfig& config);
 
-  // Deprecated: non-owning reference form (see SlidingWindowDetector).
-  MultiScaleDetector(HdFacePipeline& pipeline, std::size_t window,
-                     const MultiScaleConfig& config);
-
-  // All post-NMS detections, sorted by descending score. Serial seed path.
-  std::vector<Detection> detect(const image::Image& scene);
-
-  // Batched variant: every pyramid level runs through the parallel engine
-  // (bit-identical results at every thread count; deterministically different
-  // stream than the serial path — see parallel_detect.hpp).
+  // All post-NMS detections, sorted by descending score. Every pyramid level
+  // runs through the parallel engine (bit-identical results at every thread
+  // count — see parallel_detect.hpp).
   std::vector<Detection> detect(const image::Image& scene,
                                 const ParallelDetectConfig& engine);
 

@@ -9,16 +9,11 @@
 #include "core/rng.hpp"
 #include "hog/gradient.hpp"
 #include "hog/lazy_cell_plane.hpp"
-#include "image/transform.hpp"
 #include "pipeline/cascade.hpp"
 
 namespace hdface::pipeline {
 
 namespace {
-
-// Salt separating the batched scan's per-window seed stream from every other
-// consumer of the pipeline seed.
-constexpr std::uint64_t kWindowStreamSalt = 0xBA7C4ED0ULL;
 
 // Resolve the execution resource. threads == 1 never dispatches; a caller
 // pool wins over the threads knob; otherwise 0 = global pool and N spins up
@@ -61,34 +56,6 @@ DetectionMap make_map_geometry(const image::Image& scene, std::size_t window,
   map.predictions.assign(total, 0);
   map.scores.assign(total, 0.0);
   return map;
-}
-
-// Classify windows [lo, hi) of the row-major grid into map.predictions /
-// map.scores. Pure function of (pipeline, scene, window index) — the scratch
-// RNG restarts from the window seed before every window.
-void scan_range(const HdFacePipeline& pipeline, const image::Image& scene,
-                const DetectionMap& geometry, std::size_t window,
-                std::size_t stride, int positive_class, std::uint64_t seed_base,
-                const noise::FaultPlan* fault_plan,
-                core::StochasticContext& scratch, std::size_t lo, std::size_t hi,
-                std::vector<int>& predictions, std::vector<double>& scores) {
-  // One scratch patch per chunk, reused across its windows (crop_into).
-  image::Image patch;
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const std::size_t sx = idx % geometry.steps_x;
-    const std::size_t sy = idx / geometry.steps_x;
-    scratch.reseed(core::mix64(seed_base, idx));
-    image::crop_into(scene, sx * stride, sy * stride, window, window, patch);
-    core::Hypervector feature = pipeline.encode_image(patch, scratch);
-    // In-flight query corruption (deterministic in the window index, so the
-    // bit-identical-at-any-thread-count contract holds for faulted scans too).
-    if (fault_plan) noise::apply_query_fault(*fault_plan, idx, feature);
-    const auto class_scores = pipeline.classifier().scores(feature);
-    predictions[idx] = static_cast<int>(
-        std::max_element(class_scores.begin(), class_scores.end()) -
-        class_scores.begin());
-    scores[idx] = class_scores[static_cast<std::size_t>(positive_class)];
-  }
 }
 
 // Cell-plane window assembly for windows [lo, hi): only the cheap per-window
@@ -197,6 +164,7 @@ void validate_cascade_config(const ParallelDetectConfig& config,
 // (seed, scale, gx, gy) key as the eager build, so the DetectionMap is
 // bit-identical to kEager at any thread count and any scheduling: laziness
 // changes WHEN (and whether) a cell's bytes are computed, never the bytes.
+// The caller (detect_windows_parallel) has checked the extractor.
 DetectionMap detect_windows_lazy_plane(HdFacePipeline& pipeline,
                                        const image::Image& scene,
                                        std::size_t window, std::size_t stride,
@@ -205,13 +173,7 @@ DetectionMap detect_windows_lazy_plane(HdFacePipeline& pipeline,
   DetectionMap map = make_map_geometry(scene, window, stride);
   const std::size_t total = map.steps_x * map.steps_y;
   validate_cascade_config(config, positive_class);
-
   const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: cell_plane encode requires an HD-HOG "
-        "pipeline (kOrigHogEncoder has no hypervector encode to cache)");
-  }
   const std::size_t cell = extractor->config().hog.cell_size;
   const std::size_t bins = extractor->config().hog.bins;
   const std::size_t grid_step = std::gcd(stride, cell);
@@ -387,35 +349,6 @@ DetectionMap detect_windows_lazy_plane(HdFacePipeline& pipeline,
     }
   }
   return map;
-}
-
-DetectionMap detect_windows_cell_plane(HdFacePipeline& pipeline,
-                                       const image::Image& scene,
-                                       std::size_t window, std::size_t stride,
-                                       int positive_class,
-                                       const ParallelDetectConfig& config) {
-  if (config.plane_mode == PlaneMode::kLazy) {
-    return detect_windows_lazy_plane(pipeline, scene, window, stride,
-                                     positive_class, config);
-  }
-  // Fast-fail on scan-config errors before paying for the plane build
-  // (detect_windows_on_plane re-validates; both are cheap).
-  (void)make_map_geometry(scene, window, stride);
-  validate_cascade_config(config, positive_class);
-
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  // build_scene_cell_plane re-validates, but the error should name the scan.
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: cell_plane encode requires an HD-HOG "
-        "pipeline (kOrigHogEncoder has no hypervector encode to cache)");
-  }
-  const std::size_t cell = extractor->config().hog.cell_size;
-  const std::size_t grid_step = std::gcd(stride, cell);
-  const hog::CellPlane plane =
-      build_scene_cell_plane(pipeline, scene, grid_step, config);
-  return detect_windows_on_plane(pipeline, scene, plane, window, stride,
-                                 positive_class, config);
 }
 
 }  // namespace
@@ -629,65 +562,27 @@ DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
                                      std::size_t window, std::size_t stride,
                                      int positive_class,
                                      const ParallelDetectConfig& config) {
-  if (config.plane_mode == PlaneMode::kLazy &&
-      config.encode_mode != EncodeMode::kCellPlane) {
+  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
+  // build_scene_cell_plane re-validates, but the error should name the scan.
+  if (extractor == nullptr) {
     throw std::invalid_argument(
-        "detect_windows_parallel: plane_mode kLazy requires "
-        "EncodeMode::kCellPlane (the per-window encode has no plane to "
-        "materialize)");
+        "detect_windows_parallel: the cell-plane scan requires an HD-HOG "
+        "pipeline (kOrigHogEncoder has no hypervector encode to cache)");
   }
-  if (config.encode_mode == EncodeMode::kCellPlane) {
-    return detect_windows_cell_plane(pipeline, scene, window, stride,
+  if (config.plane_mode == PlaneMode::kLazy) {
+    return detect_windows_lazy_plane(pipeline, scene, window, stride,
                                      positive_class, config);
   }
-  DetectionMap map = make_map_geometry(scene, window, stride);
-  const std::size_t total = map.steps_x * map.steps_y;
-
-  // The one mutation, before any dispatch: freeze the shared mask pool.
-  pipeline.prepare_concurrent();
-  const std::uint64_t seed_base =
-      core::mix64(pipeline.config().seed, kWindowStreamSalt);
-  const HdFacePipeline& frozen = pipeline;
-
-  PoolChoice exec = resolve_pool(config);
-  if (exec.serial()) {
-    core::StochasticContext scratch = frozen.fork_context(seed_base);
-    core::OpCounter local;
-    if (config.feature_counter) scratch.set_counter(&local);
-    scan_range(frozen, scene, map, window, stride, positive_class, seed_base,
-               config.fault_plan, scratch, 0, total, map.predictions,
-               map.scores);
-    if (config.feature_counter) config.feature_counter->merge(local);
-    return map;
-  }
-
-  // One counter shard per chunk, claimed in dispatch order. Shard totals
-  // merge after the scan; addition commutes, so the merged counts are exact
-  // and identical at every thread count.
-  core::ShardedOpCounter shards(exec.pool->size() * 4 + 1);
-  std::atomic<std::size_t> next_shard{0};
-  util::parallel_for_chunked(
-      *exec.pool, 0, total, config.min_chunk,
-      [&frozen, &scene, &map, window, stride, positive_class, seed_base,
-       &config, &shards, &next_shard](std::size_t lo, std::size_t hi) {
-        core::StochasticContext scratch =
-            frozen.fork_context(core::mix64(seed_base, lo));
-        core::OpCounter* shard = nullptr;
-        if (config.feature_counter) {
-          // Shard choice is scheduling-dependent; shard totals are merged
-          // with integer adds (commutative), so combined() is exact and
-          // identical at every thread count.
-          // hdlint: allow(sched-dependent-value)
-          shard = &shards.shard(next_shard.fetch_add(1) %
-                                shards.num_shards());
-          scratch.set_counter(shard);
-        }
-        scan_range(frozen, scene, map, window, stride, positive_class,
-                   seed_base, config.fault_plan, scratch, lo, hi,
-                   map.predictions, map.scores);
-      });
-  if (config.feature_counter) config.feature_counter->merge(shards.combined());
-  return map;
+  // Fast-fail on scan-config errors before paying for the plane build
+  // (detect_windows_on_plane re-validates; both are cheap).
+  (void)make_map_geometry(scene, window, stride);
+  validate_cascade_config(config, positive_class);
+  const std::size_t grid_step =
+      std::gcd(stride, extractor->config().hog.cell_size);
+  const hog::CellPlane plane =
+      build_scene_cell_plane(pipeline, scene, grid_step, config);
+  return detect_windows_on_plane(pipeline, scene, plane, window, stride,
+                                 positive_class, config);
 }
 
 }  // namespace hdface::pipeline

@@ -4,20 +4,21 @@
 //
 // The sliding-window scan is embarrassingly parallel — the paper's whole
 // pitch for HDC arithmetic (§4) is that it is "fully parallel" bitwise work —
-// but the seed implementation classified every window serially because the
-// stochastic-arithmetic context is single-threaded. This engine partitions
-// the window grid into contiguous chunks dispatched on util::ThreadPool; each
-// chunk runs on a scratch StochasticContext forked from the pipeline's (same
-// basis V₁, same warmed mask pool, independent RNG chain).
+// but the stochastic-arithmetic context is single-threaded. This engine
+// encodes the scene once as a cell plane (hog/cell_plane.hpp): the per-pixel
+// stochastic chain runs once per grid cell, each cell on a scratch
+// StochasticContext forked from the pipeline's (same basis V₁, same warmed
+// mask pool) and reseeded from the pure key (pipeline seed, scale_index, gx,
+// gy). Windows then assemble from the cached cells with no RNG at all. Cells
+// and windows are partitioned into contiguous chunks dispatched on
+// util::ThreadPool.
 //
-// Determinism: before each window the scratch RNG is reseeded from
-// mix64(pipeline seed, window index), so every window's encoding is a pure
-// function of (pipeline state, window pixels, window index) — independent of
-// thread count, chunk boundaries, and scheduling order. A 1-thread run and an
-// 8-thread run produce bit-identical DetectionMaps. (Note this per-window
-// seeding is a different — deterministic — random stream than the legacy
-// serial SlidingWindowDetector::detect, whose RNG chain threads sequentially
-// through the whole scan; the legacy path is kept for compatibility.)
+// Determinism: every cell's encoding is a pure function of (pipeline state,
+// scene pixels, scale index, cell coordinates), and every window's score a
+// pure function of the cells it reads — independent of thread count, chunk
+// boundaries, scheduling order, and whether the plane is built eagerly or
+// materialized lazily. A 1-thread run and an 8-thread run produce
+// bit-identical DetectionMaps.
 //
 // Op accounting is exact under parallelism: each chunk accumulates into its
 // own ShardedOpCounter shard and the shards merge into the caller's counter
@@ -59,18 +60,16 @@ struct ParallelDetectConfig {
   // of the plan are NOT injected here — wrap the scan in a
   // pipeline::FaultSession for those. Must outlive the call.
   const noise::FaultPlan* fault_plan = nullptr;
-  // Encode strategy (see EncodeMode). kPerWindow reproduces the engine's
-  // historical bit streams exactly; kCellPlane is the fast path.
-  EncodeMode encode_mode = EncodeMode::kPerWindow;
+  // Encode strategy; the cell plane is the only one (see EncodeMode).
+  EncodeMode encode_mode = EncodeMode::kCellPlane;
   // Pyramid level this scan represents; part of the cell-plane reseed key so
   // every level of a multiscale scan draws an independent deterministic
-  // stream (MultiScaleDetector sets it per level). Ignored by kPerWindow.
+  // stream (MultiScaleDetector sets it per level).
   std::size_t scale_index = 0;
   // Cell-plane population strategy (see PlaneMode): kEager builds the whole
   // plane before the scan, kLazy materializes each cell on its first window
   // read — bit-identical DetectionMaps, and with a prescreen-carrying
-  // cascade most cells of a sparse scene are never encoded. kLazy requires
-  // kCellPlane (throws std::invalid_argument otherwise) and is ignored by
+  // cascade most cells of a sparse scene are never encoded. Ignored by
   // detect_windows_on_plane (its caller-built plane is already materialized).
   PlaneMode plane_mode = PlaneMode::kEager;
   // Force the reference per-pixel stochastic chain for cell encodes instead
@@ -78,16 +77,14 @@ struct ParallelDetectConfig {
   // bit-identical cells). Accounting scans (feature_counter set) run the
   // reference chain regardless — op charges are defined on it.
   bool reference_cell_chain = false;
-  // Optional cell-plane cache accounting (exact totals at any thread count;
-  // untouched in kPerWindow mode).
+  // Optional cell-plane cache accounting (exact totals at any thread count).
   EncodeCacheStats* cache_stats = nullptr;
   // Early-reject cascade (pipeline/cascade.hpp): when set, the cell-plane
   // scan scores every window through the cascade's calibrated prefix stages,
   // escalating only survivors to the exact full-D path. Survivor results are
   // bit-identical to a cascade-free scan; rejected windows report the prefix
-  // verdict. Requires kCellPlane (the per-window encode has no cheap prefix)
-  // and is incompatible with fault_plan (in-flight query faults need the
-  // fully assembled feature) — both throw std::invalid_argument. The exact
+  // verdict. Incompatible with fault_plan (in-flight query faults need the
+  // fully assembled feature) — throws std::invalid_argument. The exact
   // cascade mode is represented by LEAVING this null: the scan then runs
   // today's path untouched. Must outlive the call.
   const Cascade* cascade = nullptr;
@@ -99,7 +96,7 @@ struct ParallelDetectConfig {
   std::vector<CascadeStats>* cascade_per_scale = nullptr;
 };
 
-// Build the scene-level cell-plane cache the kCellPlane scan uses: the raw
+// Build the scene-level cell-plane cache the scan uses: the raw
 // per-(cell, bin) slot values over the whole scene's cell grid, every cell's
 // scratch context reseeded from the pure key (pipeline seed, scale_index,
 // gx, gy) — bit-identical at any thread count and reusable across scans of
@@ -115,12 +112,12 @@ hog::CellPlane build_scene_cell_plane(HdFacePipeline& pipeline,
 
 // Scan-stage entry for a PREBUILT cell plane: classify every window of the
 // scan grid against `plane` without re-encoding the scene. This is exactly
-// the post-plane half of the kCellPlane scan — a scan on a freshly built
-// plane is bit-identical to detect_windows_parallel in kCellPlane mode, and
-// config.cascade selects cascaded vs exact scoring just like there. Reuse a
-// plane across scans of the SAME scene/scale (threshold sweeps, cascade-vs-
-// exact comparisons, re-detection): the plane build is the scan's dominant
-// fixed cost, and this entry is how callers amortize it. `scene` supplies
+// the post-plane half of the scan — a scan on a freshly built plane is
+// bit-identical to detect_windows_parallel, and config.cascade selects
+// cascaded vs exact scoring just like there. Reuse a plane across scans of
+// the SAME scene/scale (threshold sweeps, cascade-vs-exact comparisons,
+// re-detection): the plane build is the scan's dominant fixed cost, and
+// this entry is how callers amortize it. `scene` supplies
 // only the scan-grid geometry (its pixels are not re-read). Throws
 // std::invalid_argument on zero geometry, a scene smaller than the window,
 // a plane whose cell/bin shape mismatches the pipeline's extractor, or a
@@ -133,9 +130,11 @@ DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
                                      const ParallelDetectConfig& config = {});
 
 // Scan `scene` with `window`-sized windows at `stride`, classifying each with
-// the trained pipeline. Calls pipeline.prepare_concurrent() internally (the
-// one mutation, before any dispatch). Throws std::invalid_argument on zero
-// geometry or a scene smaller than the window.
+// the trained pipeline over the scene's cell plane (built eagerly or
+// materialized lazily per config.plane_mode). Calls
+// pipeline.prepare_concurrent() internally (the one mutation, before any
+// dispatch). Throws std::invalid_argument on zero geometry, a scene smaller
+// than the window, or a pipeline without an HD-HOG extractor.
 DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
                                      const image::Image& scene,
                                      std::size_t window, std::size_t stride,

@@ -23,45 +23,6 @@ SlidingWindowDetector::SlidingWindowDetector(
   }
 }
 
-SlidingWindowDetector::SlidingWindowDetector(HdFacePipeline& pipeline,
-                                             std::size_t window,
-                                             std::size_t stride,
-                                             int positive_class)
-    : SlidingWindowDetector(
-          std::shared_ptr<HdFacePipeline>(&pipeline, [](HdFacePipeline*) {}),
-          window, stride, positive_class) {}
-
-DetectionMap SlidingWindowDetector::detect(const image::Image& scene) {
-  if (scene.width() < window_ || scene.height() < window_) {
-    throw std::invalid_argument("SlidingWindowDetector: scene smaller than window");
-  }
-  DetectionMap map;
-  map.window = window_;
-  map.stride = stride_;
-  map.steps_x = (scene.width() - window_) / stride_ + 1;
-  map.steps_y = (scene.height() - window_) / stride_ + 1;
-  map.predictions.reserve(map.steps_x * map.steps_y);
-  map.scores.reserve(map.steps_x * map.steps_y);
-  // One scratch patch reused across the scan instead of a heap-allocated
-  // copy per window.
-  image::Image patch;
-  for (std::size_t sy = 0; sy < map.steps_y; ++sy) {
-    for (std::size_t sx = 0; sx < map.steps_x; ++sx) {
-      image::crop_into(scene, sx * stride_, sy * stride_, window_, window_,
-                       patch);
-      const core::Hypervector feature = pipeline_->encode_image(patch);
-      const auto class_scores = pipeline_->classifier().scores(feature);
-      const auto pred = static_cast<int>(
-          std::max_element(class_scores.begin(), class_scores.end()) -
-          class_scores.begin());
-      map.predictions.push_back(pred);
-      map.scores.push_back(
-          class_scores[static_cast<std::size_t>(positive_class_)]);
-    }
-  }
-  return map;
-}
-
 DetectionMap SlidingWindowDetector::detect(const image::Image& scene,
                                            const ParallelDetectConfig& config) {
   return detect_windows_parallel(*pipeline_, scene, window_, stride_,

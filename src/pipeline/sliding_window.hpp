@@ -30,22 +30,10 @@ class SlidingWindowDetector {
                         std::size_t window, std::size_t stride,
                         int positive_class = 1);
 
-  // Deprecated: non-owning reference form, kept so pre-facade callers build
-  // unchanged. The caller must keep `pipeline` alive for the detector's
-  // lifetime. Prefer the shared_ptr constructor or the api::Detector facade.
-  SlidingWindowDetector(HdFacePipeline& pipeline, std::size_t window,
-                        std::size_t stride, int positive_class = 1);
-
-  // Serial scan on the pipeline's own stochastic context (the seed behavior:
-  // one RNG chain threads through the whole scan).
-  DetectionMap detect(const image::Image& scene);
-
-  // Batched scan on the parallel engine (see parallel_detect.hpp): windows
-  // are seeded per-index, so results are bit-identical at every thread
-  // count — but a (deterministically) different stream than detect(scene).
-  // The engine config carries the full scan feature set, including the
-  // early-reject cascade (config.cascade + cascade_stats); exact mode is a
-  // null config.cascade and runs the pre-cascade path untouched.
+  // Batched scan on the parallel engine (see parallel_detect.hpp): results
+  // are bit-identical at every thread count. The engine config carries the
+  // full scan feature set, including the early-reject cascade
+  // (config.cascade + cascade_stats); exact mode is a null config.cascade.
   DetectionMap detect(const image::Image& scene,
                       const ParallelDetectConfig& config);
 

@@ -154,7 +154,7 @@ TEST(Detector, DetectIsThreadCountInvariant) {
 
 // Golden determinism across kernel backends: a full detect map forced to the
 // scalar reference must be bit-identical to the automatic (best SIMD)
-// backend, in both encode modes. This is the end-to-end counterpart of the
+// backend, in both plane modes. This is the end-to-end counterpart of the
 // per-kernel property suite in tests/core/kernels_test.cpp and what licenses
 // treating the backend as a pure performance knob.
 TEST(Detector, DetectMapBitIdenticalAcrossKernelBackends) {
@@ -170,10 +170,10 @@ TEST(Detector, DetectMapBitIdenticalAcrossKernelBackends) {
   image::paste(scene, dataset::render_face_window(16, 555), 24, 8);
 
   for (const auto mode :
-       {pipeline::EncodeMode::kPerWindow, pipeline::EncodeMode::kCellPlane}) {
+       {pipeline::PlaneMode::kEager, pipeline::PlaneMode::kLazy}) {
     DetectOptions scalar;
     scalar.threads = 1;
-    scalar.encode_mode = mode;
+    scalar.plane_mode = mode;
     scalar.kernel_backend = core::kernels::Backend::kScalar;
     DetectOptions fastest = scalar;
     fastest.kernel_backend.reset();  // automatic choice (best supported)
@@ -308,24 +308,6 @@ TEST(Detector, RequestPathReturnsTypedErrorsInsteadOfThrowing) {
   EXPECT_THROW((void)det.detect(tiny_scene.scene, opts), std::invalid_argument);
 }
 
-TEST(Detector, TelemetrySinkWinsOverDeprecatedAliases) {
-  dataset::FaceDatasetConfig data_cfg;
-  data_cfg.image_size = 16;
-  data_cfg.num_samples = 40;
-  Detector det = small_face_detector();
-  det.fit(dataset::make_face_dataset(data_cfg));
-
-  core::OpCounter modern;
-  core::OpCounter legacy;
-  DetectOptions opts;
-  opts.threads = 2;
-  opts.feature_counter = &legacy;  // deprecated alias, must be ignored...
-  opts.telemetry = Telemetry{&modern, nullptr};  // ...because telemetry wins
-  det.detect_map(image::Image(32, 32, 0.5f), opts);
-  EXPECT_GT(modern.total(), 0u);
-  EXPECT_EQ(legacy.total(), 0u);
-}
-
 TEST(Detector, TelemetryEncodeCacheSinkSeesCellPlaneTraffic) {
   dataset::FaceDatasetConfig data_cfg;
   data_cfg.image_size = 16;
@@ -336,7 +318,6 @@ TEST(Detector, TelemetryEncodeCacheSinkSeesCellPlaneTraffic) {
   pipeline::EncodeCacheStats cache;
   DetectOptions opts;
   opts.threads = 1;
-  opts.encode_mode = pipeline::EncodeMode::kCellPlane;
   opts.telemetry = Telemetry{nullptr, &cache};
   det.detect_map(image::Image(32, 32, 0.5f), opts);
   EXPECT_GT(cache.cells_computed, 0u);
@@ -353,9 +334,104 @@ TEST(Detector, FeatureCounterAccumulatesThroughOptions) {
   core::OpCounter ops;
   DetectOptions opts;
   opts.threads = 2;
-  opts.feature_counter = &ops;
+  opts.telemetry = Telemetry{&ops, nullptr};
   det.detect_map(image::Image(32, 32, 0.5f), opts);
   EXPECT_GT(ops.total(), 0u);
+}
+
+void expect_boxes_identical(const std::vector<pipeline::Detection>& a,
+                            const std::vector<pipeline::Detection>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].x, b[i].x) << "box " << i;
+    EXPECT_EQ(a[i].y, b[i].y) << "box " << i;
+    EXPECT_EQ(a[i].size, b[i].size) << "box " << i;
+    EXPECT_EQ(a[i].score, b[i].score) << "box " << i;
+  }
+}
+
+// DetectOptions{} is the fast path: its scans are bit-identical to an
+// explicit cell-plane scan with the eager and with the lazy plane, at one
+// and at four threads, for the single-scale map and for a two-level pyramid
+// with NMS.
+TEST(Detector, DefaultOptionsMatchExplicitCellPlaneScans) {
+  dataset::FaceDatasetConfig data_cfg;
+  data_cfg.image_size = 16;
+  data_cfg.num_samples = 60;
+  Detector det = small_face_detector();
+  det.fit(dataset::make_face_dataset(data_cfg));
+
+  image::Image scene(64, 48, 0.5f);
+  core::Rng rng(23);
+  dataset::render_background(scene, dataset::BackgroundKind::kMixed, rng);
+  image::paste(scene, dataset::render_face_window(16, 808), 8, 8);
+  image::paste(scene, dataset::render_face_window(32, 809), 32, 16);
+
+  const DetectOptions defaults;
+  const auto base_map = det.detect_map(scene, defaults);
+  DetectOptions pyramid;
+  pyramid.scales = {1.0, 0.5};
+  pyramid.nms = true;
+  const auto base_boxes = det.detect(scene, pyramid);
+
+  for (const auto plane : {pipeline::PlaneMode::kEager,
+                           pipeline::PlaneMode::kLazy}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "plane " << static_cast<int>(plane) << ", " << threads
+                   << " threads");
+      DetectOptions opts;
+      opts.threads = threads;
+      opts.encode_mode = pipeline::EncodeMode::kCellPlane;
+      opts.plane_mode = plane;
+      const auto map = det.detect_map(scene, opts);
+      ASSERT_EQ(map.scores.size(), base_map.scores.size());
+      for (std::size_t i = 0; i < map.scores.size(); ++i) {
+        EXPECT_EQ(map.scores[i], base_map.scores[i]) << "window " << i;
+        EXPECT_EQ(map.predictions[i], base_map.predictions[i])
+            << "window " << i;
+      }
+      opts.scales = pyramid.scales;
+      opts.nms = true;
+      expect_boxes_identical(det.detect(scene, opts), base_boxes);
+    }
+  }
+}
+
+// Scans need the HD-HOG cell encode. An orig-HOG detector still classifies
+// windows, but every scan entry point rejects it up front with a typed
+// kInvalidOptions error instead of failing inside the engine.
+TEST(Detector, OrigHogScansFailWithTypedErrors) {
+  dataset::FaceDatasetConfig data_cfg;
+  data_cfg.image_size = 16;
+  data_cfg.num_samples = 40;
+  Detector det = DetectorBuilder()
+                     .window(16)
+                     .dim(1024)
+                     .mode(pipeline::HdFaceMode::kOrigHogEncoder)
+                     .epochs(3)
+                     .build();
+  det.fit(dataset::make_face_dataset(data_cfg));
+  const image::Image scene(32, 32, 0.5f);
+  const int pred = det.predict(image::Image(16, 16, 0.5f));
+  EXPECT_TRUE(pred == 0 || pred == 1);
+
+  Request request;
+  request.scene = scene;
+  auto outcome = det.detect(request);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.error().code, ErrorCode::kInvalidOptions);
+  EXPECT_NE(outcome.error().message.find("HD-HOG"), std::string::npos);
+  request.options.scales = {1.0, 0.5};
+  outcome = det.detect(request);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.error().code, ErrorCode::kInvalidOptions);
+
+  EXPECT_THROW((void)det.detect_map(scene, {}), InvalidOptionsError);
+  EXPECT_THROW((void)det.detect(scene, DetectOptions{}), InvalidOptionsError);
+  DetectOptions pyramid;
+  pyramid.scales = {1.0, 0.5};
+  EXPECT_THROW((void)det.detect(scene, pyramid), InvalidOptionsError);
 }
 
 }  // namespace

@@ -77,7 +77,6 @@ pipeline::CascadeStats g_cascade_sink;
 // one field at a time.
 DetectOptions calibrated_cascade_options() {
   DetectOptions opts;
-  opts.encode_mode = pipeline::EncodeMode::kCellPlane;
   pipeline::CascadeConfig cascade;
   cascade.mode = pipeline::CascadeMode::kCalibrated;
   cascade.table.dim = 2048;
@@ -90,49 +89,16 @@ DetectOptions calibrated_cascade_options() {
   return opts;
 }
 
-TEST(Validate, RejectsCellPlaneFaultPlanWithoutCacheStatsSink) {
-  // The missing cross-field check: a fault campaign on the cell-plane path
-  // used to be admitted silently with no encode-cache stats sink, leaving the
-  // faulted shared-plane cache unauditable.
-  DetectOptions opts;
-  opts.fault_plan = noise::FaultPlan{};
-  opts.encode_mode = pipeline::EncodeMode::kCellPlane;
-  const auto err = validate(opts);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->code, ErrorCode::kInvalidOptions);
-  EXPECT_NE(err->message.find("encode-cache stats sink"), std::string::npos);
-}
-
 TEST(Validate, CellPlaneFaultPlanAcceptedWithEitherSinkForm) {
+  // A fault plan runs on the cell-plane scan whether or not the caller asks
+  // for telemetry: no sink, a sink set without the encode-cache entry, and a
+  // full one all validate.
   DetectOptions opts;
   opts.fault_plan = noise::FaultPlan{};
-  opts.encode_mode = pipeline::EncodeMode::kCellPlane;
-  Telemetry telemetry;
-  telemetry.encode_cache = &g_cache_sink;
-  opts.telemetry = telemetry;
   EXPECT_EQ(validate(opts), std::nullopt);
-
-  DetectOptions legacy;
-  legacy.fault_plan = noise::FaultPlan{};
-  legacy.encode_mode = pipeline::EncodeMode::kCellPlane;
-  legacy.encode_cache_stats = &g_cache_sink;  // deprecated alias form
-  EXPECT_EQ(validate(legacy), std::nullopt);
-}
-
-TEST(Validate, TelemetryWithoutCacheSinkDoesNotSatisfyFaultPlanCheck) {
-  // Telemetry wins wholesale over the alias fields, so a telemetry struct
-  // with a null encode_cache must not inherit the alias sink.
-  DetectOptions opts;
-  opts.fault_plan = noise::FaultPlan{};
-  opts.encode_mode = pipeline::EncodeMode::kCellPlane;
-  opts.encode_cache_stats = &g_cache_sink;
-  opts.telemetry = Telemetry{};  // encode_cache == nullptr wins
-  EXPECT_TRUE(validate(opts).has_value());
-}
-
-TEST(Validate, PerWindowFaultPlanNeedsNoSink) {
-  DetectOptions opts;
-  opts.fault_plan = noise::FaultPlan{};
+  opts.telemetry = Telemetry{};
+  EXPECT_EQ(validate(opts), std::nullopt);
+  opts.telemetry->encode_cache = &g_cache_sink;
   EXPECT_EQ(validate(opts), std::nullopt);
 }
 
@@ -141,27 +107,18 @@ TEST(Validate, AcceptsCalibratedCascade) {
 }
 
 TEST(Validate, ExactCascadeModeSkipsCascadeChecks) {
-  // Exact mode runs the pre-cascade path untouched, so the table (and encode
-  // mode) are irrelevant — a default-constructed config must validate.
+  // Exact mode runs the pre-cascade path untouched, so the table is
+  // irrelevant — a default-constructed config must validate.
   DetectOptions opts;
   opts.cascade = pipeline::CascadeConfig{};
   EXPECT_EQ(validate(opts), std::nullopt);
-}
-
-TEST(Validate, RejectsCalibratedCascadeWithoutCellPlane) {
-  auto opts = calibrated_cascade_options();
-  opts.encode_mode = pipeline::EncodeMode::kPerWindow;
-  const auto err = validate(opts);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->code, ErrorCode::kInvalidOptions);
-  EXPECT_NE(err->message.find("cell_plane"), std::string::npos);
 }
 
 TEST(Validate, RejectsCalibratedCascadeWithFaultPlan) {
   auto opts = calibrated_cascade_options();
   opts.fault_plan = noise::FaultPlan{};
   Telemetry telemetry;
-  telemetry.encode_cache = &g_cache_sink;  // satisfy the cache-sink check
+  telemetry.encode_cache = &g_cache_sink;
   telemetry.cascade = &g_cascade_sink;
   opts.telemetry = telemetry;
   const auto err = validate(opts);

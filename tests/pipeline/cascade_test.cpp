@@ -65,7 +65,6 @@ struct CascadeFixture {
 
     ParallelDetectConfig exact;
     exact.threads = 1;
-    exact.encode_mode = EncodeMode::kCellPlane;
     for (const auto& scene : scenes) {
       golden.push_back(
           detect_windows_parallel(pipeline, scene, kWindow, kStride, 1, exact));
@@ -109,7 +108,6 @@ TEST(StagedWindow, MatchesOneShotAssemblyAtEveryPrefix) {
   auto& f = fixture();
   ParallelDetectConfig cfg;
   cfg.threads = 1;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   const auto plane = build_scene_cell_plane(f.pipeline, f.scenes[0], 4, cfg);
   const hog::HdHogExtractor& extractor = *f.pipeline.hd_extractor();
   hog::HdHogExtractor::StagedWindow win(extractor);
@@ -135,7 +133,6 @@ TEST(StagedWindow, OpChargesTileToTheUnstagedTotal) {
   auto& f = fixture();
   ParallelDetectConfig cfg;
   cfg.threads = 1;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   const auto plane = build_scene_cell_plane(f.pipeline, f.scenes[0], 4, cfg);
   const hog::HdHogExtractor& extractor = *f.pipeline.hd_extractor();
   core::OpCounter one_shot, staged;
@@ -156,7 +153,6 @@ TEST(StagedWindow, RejectsShrinkingAndOverlongPrefixes) {
   auto& f = fixture();
   ParallelDetectConfig cfg;
   cfg.threads = 1;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   const auto plane = build_scene_cell_plane(f.pipeline, f.scenes[0], 4, cfg);
   hog::HdHogExtractor::StagedWindow win(*f.pipeline.hd_extractor());
   win.reset(plane, 0, 0);
@@ -171,7 +167,6 @@ TEST(Cascade, PrefixDistancesTileToFullHammingMany) {
   const Cascade cascade(f.pipeline.classifier(), f.table);
   ParallelDetectConfig cfg;
   cfg.threads = 1;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   const auto plane = build_scene_cell_plane(f.pipeline, f.scenes[0], 4, cfg);
   hog::HdHogExtractor::StagedWindow win(*f.pipeline.hd_extractor());
   win.reset(plane, 16, 16);
@@ -206,7 +201,6 @@ TEST(Cascade, ExactModeBitIdenticalToGoldenMapsAtEveryThreadCount) {
   for (const std::size_t threads : {1u, 4u, 8u}) {
     ParallelDetectConfig cfg;
     cfg.threads = threads;
-    cfg.encode_mode = EncodeMode::kCellPlane;
     for (std::size_t i = 0; i < f.scenes.size(); ++i) {
       const auto map = detect_windows_parallel(
           f.pipeline, f.scenes[i], CascadeFixture::kWindow,
@@ -224,7 +218,6 @@ TEST(Cascade, ExactModeThroughFacadeMatchesAndLeavesStatsUntouched) {
   api::DetectOptions opts;
   opts.threads = 1;
   opts.stride = CascadeFixture::kStride;
-  opts.encode_mode = EncodeMode::kCellPlane;
   opts.cascade = CascadeConfig{CascadeMode::kExact, f.table};
   CascadeStats stats;
   api::Telemetry telemetry;
@@ -244,7 +237,6 @@ TEST(Cascade, CalibratedModeZeroFalseRejectsAndBitIdenticalSurvivors) {
   for (std::size_t i = 0; i < f.scenes.size(); ++i) {
     ParallelDetectConfig cfg;
     cfg.threads = 1;
-    cfg.encode_mode = EncodeMode::kCellPlane;
     cfg.cascade = &cascade;
     CascadeStats stats;
     cfg.cascade_stats = &stats;
@@ -283,7 +275,6 @@ TEST(Cascade, CalibratedMapAndStatsAreThreadCountInvariant) {
   for (const std::size_t threads : {1u, 4u, 8u}) {
     ParallelDetectConfig cfg;
     cfg.threads = threads;
-    cfg.encode_mode = EncodeMode::kCellPlane;
     cfg.cascade = &cascade;
     CascadeStats stats;
     cfg.cascade_stats = &stats;
@@ -307,7 +298,6 @@ TEST(Cascade, ScanOnPrebuiltPlaneMatchesEndToEnd) {
   // the end-to-end kCellPlane scan bit-for-bit.
   ParallelDetectConfig cfg;
   cfg.threads = 1;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   const std::size_t cell = f.pipeline.config().hog.cell_size;
   const std::size_t grid_step = std::gcd(CascadeFixture::kStride, cell);
   const hog::CellPlane plane =
@@ -339,7 +329,6 @@ TEST(Cascade, ScanOnPlaneRejectsIncompatiblePlanes) {
   auto& f = fixture();
   ParallelDetectConfig cfg;
   cfg.threads = 1;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   const std::size_t cell = f.pipeline.config().hog.cell_size;
   const std::size_t bins = f.pipeline.config().hog.bins;
   // Wrong bin count: shape mismatch against the extractor.
@@ -374,7 +363,6 @@ TEST(Cascade, RejectEverythingTableShortCircuitsAllWindows) {
   const Cascade cascade(f.pipeline.classifier(), reject_all);
   ParallelDetectConfig cfg;
   cfg.threads = 1;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   cfg.cascade = &cascade;
   CascadeStats stats;
   cfg.cascade_stats = &stats;
@@ -394,10 +382,11 @@ TEST(Cascade, MultiscalePerScaleStatsMergeToTheScanTotal) {
   MultiScaleConfig ms;
   ms.scales = {1.0, 0.5};
   ms.stride = CascadeFixture::kStride;
-  MultiScaleDetector det(f.pipeline, CascadeFixture::kWindow, ms);
+  MultiScaleDetector det(
+      std::shared_ptr<HdFacePipeline>(&f.pipeline, [](HdFacePipeline*) {}),
+      CascadeFixture::kWindow, ms);
   ParallelDetectConfig engine;
   engine.threads = 1;
-  engine.encode_mode = EncodeMode::kCellPlane;
   engine.cascade = &cascade;
   CascadeStats total;
   std::vector<CascadeStats> per_scale;
@@ -532,7 +521,6 @@ TEST(Cascade, EngineRejectsCascadeWithFaultPlanOrWrongPositiveClass) {
   const Cascade cascade(f.pipeline.classifier(), f.table);
   ParallelDetectConfig cfg;
   cfg.threads = 1;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   cfg.cascade = &cascade;
   const noise::FaultPlan plan;
   cfg.fault_plan = &plan;

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -50,7 +51,6 @@ CacheFixture& fixture() {
 
 ParallelDetectConfig plane_config(std::size_t threads) {
   ParallelDetectConfig cfg;
-  cfg.encode_mode = EncodeMode::kCellPlane;
   cfg.threads = threads;
   cfg.min_chunk = 1;  // force real chunking even on a small grid
   return cfg;
@@ -180,18 +180,48 @@ TEST(CellPlaneDetect, RepeatedCallsAreIdentical) {
   expect_maps_identical(a, b);
 }
 
+// Reference scan that encodes every cropped window on its own with the
+// pipeline's per-image encode (HdFacePipeline::encode_image, the path
+// classification uses) — the oracle the cell-plane scan is compared with.
+// Each window reseeds its scratch from (seed, salt, window index), the
+// stream the agreement floor below was measured on.
+DetectionMap per_window_reference(HdFacePipeline& pipeline,
+                                  const image::Image& scene,
+                                  std::size_t window, std::size_t stride) {
+  DetectionMap map;
+  map.window = window;
+  map.stride = stride;
+  map.steps_x = (scene.width() - window) / stride + 1;
+  map.steps_y = (scene.height() - window) / stride + 1;
+  pipeline.prepare_concurrent();
+  const std::uint64_t seed_base =
+      core::mix64(pipeline.config().seed, 0xBA7C4ED0ULL);
+  core::StochasticContext scratch = pipeline.fork_context(seed_base);
+  image::Image patch;
+  for (std::size_t sy = 0; sy < map.steps_y; ++sy) {
+    for (std::size_t sx = 0; sx < map.steps_x; ++sx) {
+      scratch.reseed(core::mix64(seed_base, sy * map.steps_x + sx));
+      image::crop_into(scene, sx * stride, sy * stride, window, window, patch);
+      const auto scores =
+          pipeline.classifier().scores(pipeline.encode_image(patch, scratch));
+      map.predictions.push_back(static_cast<int>(
+          std::max_element(scores.begin(), scores.end()) - scores.begin()));
+      map.scores.push_back(scores[1]);
+    }
+  }
+  return map;
+}
+
 TEST(CellPlaneDetect, AgreesWithPerWindowEncode) {
-  // The two encode modes draw different deterministic random streams (and
-  // cell-plane gradients see true scene neighbors where per-window sees
-  // window-clamped edges), so maps agree statistically, not bit-for-bit.
-  // The agreement floor is pinned: a regression that breaks window assembly
-  // (wrong cells, wrong normalization) collapses agreement to chance (~0.5).
+  // The cell plane and a per-window encode draw different deterministic
+  // random streams (and cell-plane gradients see true scene neighbors where
+  // a cropped window sees clamped edges), so maps agree statistically, not
+  // bit-for-bit. The agreement floor is pinned: a regression that breaks
+  // window assembly (wrong cells, wrong normalization) collapses agreement
+  // to chance (~0.5).
   auto& f = fixture();
-  ParallelDetectConfig per_window;
-  per_window.threads = 1;
   // Stride 4 (81 windows) for statistical power; grid_step stays gcd(4,4)=4.
-  const auto reference =
-      detect_windows_parallel(f.pipeline, f.scene, 16, 4, 1, per_window);
+  const auto reference = per_window_reference(f.pipeline, f.scene, 16, 4);
   const auto cached =
       detect_windows_parallel(f.pipeline, f.scene, 16, 4, 1, plane_config(1));
   ASSERT_EQ(reference.predictions.size(), cached.predictions.size());
@@ -231,15 +261,6 @@ TEST(CellPlaneDetect, CacheStatsAreExactAndThreadCountInvariant) {
     EXPECT_EQ(stats.windows_assembled, windows);
     EXPECT_EQ(stats.slot_reads, windows * slots_per_window);
   }
-  // Per-window mode must leave the caller's stats untouched.
-  EncodeCacheStats untouched;
-  ParallelDetectConfig per_window;
-  per_window.threads = 1;
-  per_window.cache_stats = &untouched;
-  detect_windows_parallel(f.pipeline, f.scene, 16, 8, 1, per_window);
-  EXPECT_EQ(untouched.cells_computed, 0u);
-  EXPECT_EQ(untouched.slot_reads, 0u);
-  EXPECT_EQ(untouched.windows_assembled, 0u);
 }
 
 TEST(CellPlaneDetect, FeatureCounterTotalsMatchAcrossThreadCounts) {

@@ -3,10 +3,11 @@
 // One fault plan per FaultKind is injected into a trained D=2048 detector.
 // For each kind the suite pins three numbers: the digest of the faulted
 // storage, the session's disturbed_bits(), and a faulted detect hash (the
-// full score map plus the boxes). The values were recorded before fault
-// sampling was batched, so they prove the batched path draws the same
-// patterns as the per-target one. Every kernel backend the CPU supports must
-// reproduce them. Independently of the pins, every patched word must equal
+// full score map plus the boxes). The storage digests and disturbed-bit
+// counts were recorded before fault sampling was batched, so they prove the
+// batched path draws the same patterns as the per-target one; the detect
+// hashes were re-pinned when the cell plane became the only scan encode.
+// Every kernel backend the CPU supports must reproduce them. Independently of the pins, every patched word must equal
 // the clean word with the per-target noise::sample_fault_mask applied.
 
 #include <bit>
@@ -130,13 +131,13 @@ constexpr std::uint64_t kGoldenSeed = 0x60D5EEDULL;
 
 constexpr Golden kGoldens[] = {
     {noise::FaultKind::kTransientFlip, 0x66095380E6EC84F4ULL, 1026664ULL,
-     0xEC90A1E704BD381CULL},
+     0xC816B9D408CF3691ULL},
     {noise::FaultKind::kStuckAtZero, 0xF07689296A82D16DULL, 513041ULL,
-     0x3F2DBA964C1697F3ULL},
+     0x7ACD5E5699135BEAULL},
     {noise::FaultKind::kStuckAtOne, 0x9A3A8A6A691523B0ULL, 513623ULL,
-     0xC61871D1927C6877ULL},
+     0x93951DBCED5AA793ULL},
     {noise::FaultKind::kWordBurst, 0x0C87DF1E1427C0B7ULL, 1020224ULL,
-     0xD84DA851687FD905ULL},
+     0x724D43010F3398E4ULL},
 };
 
 noise::FaultPlan golden_plan(noise::FaultKind kind) {
@@ -218,6 +219,32 @@ TEST(FaultGolden, FaultedDetectMatchesPinsOnEveryBackend) {
       const auto boxes = f.detector.detect(f.scene, options);
       EXPECT_EQ(detect_hash(map, boxes), g.detect_hash);
     }
+  }
+}
+
+// The default faulted request — DetectOptions{} plus a fault plan, no
+// telemetry sinks — validates, runs on the cell-plane scan, returns exactly
+// the legacy wrapper's boxes, and leaves the model's storage as it found it.
+TEST(FaultGolden, DefaultFaultedRequestRunsWithoutTelemetry) {
+  auto& f = fixture();
+  const auto targets = stored_targets(*f.detector.pipeline());
+  const std::uint64_t clean_digest = storage_digest(targets);
+  api::Request request;
+  request.scene = f.scene;
+  request.options.fault_plan = golden_plan(noise::FaultKind::kTransientFlip);
+  ASSERT_FALSE(request.options.telemetry.has_value());
+  ASSERT_EQ(api::validate(request.options), std::nullopt);
+  const auto outcome = f.detector.detect(request);
+  ASSERT_TRUE(outcome.ok()) << outcome.error().message;
+  EXPECT_EQ(storage_digest(targets), clean_digest);
+  const auto direct = f.detector.detect(f.scene, request.options);
+  const auto& served = outcome.value().detections;
+  ASSERT_EQ(served.size(), direct.size());
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].x, direct[i].x);
+    EXPECT_EQ(served[i].y, direct[i].y);
+    EXPECT_EQ(served[i].size, direct[i].size);
+    EXPECT_EQ(served[i].score, direct[i].score);
   }
 }
 

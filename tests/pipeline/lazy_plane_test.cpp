@@ -72,7 +72,6 @@ struct LazyFixture {
 
     ParallelDetectConfig exact;
     exact.threads = 1;
-    exact.encode_mode = EncodeMode::kCellPlane;
     for (const auto& scene : scenes) {
       golden.push_back(
           detect_windows_parallel(pipeline, scene, kWindow, kStride, 1, exact));
@@ -96,7 +95,6 @@ ParallelDetectConfig plane_cfg(std::size_t threads, PlaneMode mode,
   ParallelDetectConfig cfg;
   cfg.threads = threads;
   cfg.min_chunk = 1;  // force real chunking at small scene sizes
-  cfg.encode_mode = EncodeMode::kCellPlane;
   cfg.plane_mode = mode;
   cfg.cascade = cascade;
   return cfg;
@@ -154,16 +152,6 @@ TEST(LazyPlane, BitIdenticalToEagerUnderCascadeAtEveryThreadCount) {
       }
     }
   }
-}
-
-TEST(LazyPlane, RequiresCellPlaneEncodeMode) {
-  auto& f = fixture();
-  ParallelDetectConfig cfg = plane_cfg(1, PlaneMode::kLazy);
-  cfg.encode_mode = EncodeMode::kPerWindow;
-  EXPECT_THROW(detect_windows_parallel(f.pipeline, f.scenes[0],
-                                       LazyFixture::kWindow,
-                                       LazyFixture::kStride, 1, cfg),
-               std::invalid_argument);
 }
 
 // --- prescreen: calibration contract and verdict accounting ------------------
@@ -298,7 +286,6 @@ TEST(LazyPlane, FacadeLazyMatchesEagerAndFillsTelemetry) {
   api::DetectOptions opts;
   opts.threads = 4;
   opts.stride = LazyFixture::kStride;
-  opts.encode_mode = EncodeMode::kCellPlane;
   opts.cascade = CascadeConfig{CascadeMode::kCalibrated, f.prescreen_table};
 
   const auto eager_map = det.detect_map(f.scenes[0], opts);
@@ -326,7 +313,6 @@ TEST(LazyPlane, MultiscaleLazyMatchesEager) {
   api::DetectOptions opts;
   opts.threads = 4;
   opts.stride = LazyFixture::kStride;
-  opts.encode_mode = EncodeMode::kCellPlane;
   opts.scales = {1.0, 0.5};
 
   const auto eager_boxes = det.detect(f.scenes[0], opts);

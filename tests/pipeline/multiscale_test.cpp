@@ -1,5 +1,6 @@
 #include "pipeline/multiscale.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -98,8 +99,12 @@ HdFaceConfig detector_config() {
   return c;
 }
 
+std::shared_ptr<HdFacePipeline> make_pipeline() {
+  return std::make_shared<HdFacePipeline>(detector_config(), 16, 16, 2);
+}
+
 TEST(MultiScale, ValidatesConfig) {
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
+  const auto pipe = make_pipeline();
   MultiScaleConfig cfg;
   cfg.scales = {};
   EXPECT_THROW(MultiScaleDetector(pipe, 16, cfg), std::invalid_argument);
@@ -114,8 +119,8 @@ TEST(MultiScale, FindsOversizedFaceThroughPyramid) {
   data_cfg.num_samples = 100;
   data_cfg.image_size = 16;
   const auto train = make_face_dataset(data_cfg);
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
-  pipe.fit(train);
+  const auto pipe = make_pipeline();
+  pipe->fit(train);
 
   image::Image scene(64, 64, 0.5f);
   core::Rng rng(5);
@@ -126,7 +131,9 @@ TEST(MultiScale, FindsOversizedFaceThroughPyramid) {
   cfg.scales = {1.0, 0.5};
   cfg.stride = 8;
   MultiScaleDetector det(pipe, 16, cfg);
-  const auto detections = det.detect(scene);
+  ParallelDetectConfig engine;
+  engine.threads = 1;
+  const auto detections = det.detect(scene, engine);
   bool found_large = false;
   for (const auto& d : detections) {
     if (d.size >= 28 && box_iou(d, Detection{16, 16, 32, 1.0}) > 0.2) {
@@ -137,9 +144,8 @@ TEST(MultiScale, FindsOversizedFaceThroughPyramid) {
 }
 
 TEST(MultiScale, RenderMarksBoxes) {
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
   MultiScaleConfig cfg;
-  MultiScaleDetector det(pipe, 16, cfg);
+  MultiScaleDetector det(make_pipeline(), 16, cfg);
   image::Image scene(32, 32, 0.5f);
   const auto rgb = det.render(scene, {{4, 4, 10, 0.9}});
   // Box corner pixel tinted blue.

@@ -1,5 +1,6 @@
 #include "pipeline/sliding_window.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include "dataset/background_generator.hpp"
 #include "dataset/face_generator.hpp"
 #include "image/transform.hpp"
+#include "pipeline/parallel_detect.hpp"
 
 namespace hdface::pipeline {
 namespace {
@@ -23,22 +25,32 @@ HdFaceConfig detector_config() {
   return c;
 }
 
+std::shared_ptr<HdFacePipeline> make_pipeline() {
+  return std::make_shared<HdFacePipeline>(detector_config(), 16, 16, 2);
+}
+
+ParallelDetectConfig serial_scan() {
+  ParallelDetectConfig cfg;
+  cfg.threads = 1;
+  return cfg;
+}
+
 TEST(SlidingWindow, ValidatesGeometry) {
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
+  const auto pipe = make_pipeline();
   EXPECT_THROW(SlidingWindowDetector(pipe, 0, 8), std::invalid_argument);
   EXPECT_THROW(SlidingWindowDetector(pipe, 16, 0), std::invalid_argument);
+  EXPECT_THROW(SlidingWindowDetector(nullptr, 16, 8), std::invalid_argument);
 }
 
 TEST(SlidingWindow, RejectsSceneSmallerThanWindow) {
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
-  SlidingWindowDetector det(pipe, 16, 8);
-  EXPECT_THROW(det.detect(image::Image(8, 8, 0.5f)), std::invalid_argument);
+  SlidingWindowDetector det(make_pipeline(), 16, 8);
+  EXPECT_THROW(det.detect(image::Image(8, 8, 0.5f), serial_scan()),
+               std::invalid_argument);
 }
 
 TEST(SlidingWindow, MapGeometryMatchesStride) {
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
-  SlidingWindowDetector det(pipe, 16, 8);
-  const auto map = det.detect(image::Image(48, 32, 0.5f));
+  SlidingWindowDetector det(make_pipeline(), 16, 8);
+  const auto map = det.detect(image::Image(48, 32, 0.5f), serial_scan());
   EXPECT_EQ(map.steps_x, 5u);  // (48-16)/8+1
   EXPECT_EQ(map.steps_y, 3u);
   EXPECT_EQ(map.predictions.size(), 15u);
@@ -53,8 +65,8 @@ TEST(SlidingWindow, FindsPlantedFace) {
   data_cfg.num_samples = 80;
   data_cfg.image_size = 16;
   const auto train = make_face_dataset(data_cfg);
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
-  pipe.fit(train);
+  const auto pipe = make_pipeline();
+  pipe->fit(train);
 
   image::Image scene(48, 48, 0.5f);
   core::Rng rng(33);
@@ -63,7 +75,7 @@ TEST(SlidingWindow, FindsPlantedFace) {
   image::paste(scene, face, 16, 16);
 
   SlidingWindowDetector det(pipe, 16, 8);
-  const auto map = det.detect(scene);
+  const auto map = det.detect(scene, serial_scan());
   // Face window sits at step (2, 2); compare its score against the average
   // of all windows that do not overlap the face at all.
   const double face_score = map.scores[2 * map.steps_x + 2];
@@ -85,8 +97,7 @@ TEST(SlidingWindow, FindsPlantedFace) {
 }
 
 TEST(SlidingWindow, OverlayTintsDetections) {
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
-  SlidingWindowDetector det(pipe, 16, 16);
+  SlidingWindowDetector det(make_pipeline(), 16, 16);
   image::Image scene(32, 32, 0.5f);
   DetectionMap map;
   map.window = 16;
@@ -106,8 +117,7 @@ TEST(SlidingWindow, OverlayTintsOverlappingWindowsOnce) {
   // overlap must carry exactly the same tint as pixels covered by a single
   // window. (The seed tinted per window, so overlaps were darkened twice and
   // dense detection clusters rendered near-black instead of highlighted.)
-  HdFacePipeline pipe(detector_config(), 16, 16, 2);
-  SlidingWindowDetector det(pipe, 16, 8);
+  SlidingWindowDetector det(make_pipeline(), 16, 8);
   image::Image scene(32, 32, 0.5f);
   DetectionMap map;
   map.window = 16;

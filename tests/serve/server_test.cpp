@@ -175,6 +175,42 @@ TEST(DetectionServer, TypedRejectionOfInvalidRequests) {
   EXPECT_TRUE(stats.conserved());
 }
 
+// A request that passes admission but cannot run on this model — a scan on
+// an orig-HOG detector, which has no cell-plane encode — resolves with a
+// typed kInvalidOptions error. The worker survives it and goes on serving
+// the requests queued behind it, and the accounting stays conserved.
+TEST(DetectionServer, OrigHogScanResolvesTypedErrorAndWorkerKeepsServing) {
+  dataset::FaceDatasetConfig data_cfg;
+  data_cfg.image_size = kWindow;
+  data_cfg.num_samples = 40;
+  api::Detector det = api::DetectorBuilder()
+                          .window(kWindow)
+                          .dim(1024)
+                          .mode(pipeline::HdFaceMode::kOrigHogEncoder)
+                          .epochs(2)
+                          .build();
+  det.fit(dataset::make_face_dataset(data_cfg));
+  ServerConfig config;
+  config.workers = 1;
+  DetectionServer server(det, config);
+  std::vector<DetectionServer::Submission> submissions;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    submissions.push_back(server.submit(valid_request(i)));
+    ASSERT_TRUE(submissions.back().admitted());
+  }
+  for (auto& s : submissions) {
+    const auto outcome = s.response.get();
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.error().code, api::ErrorCode::kInvalidOptions);
+  }
+  server.shutdown();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.counters.admitted, 3u);
+  EXPECT_EQ(stats.counters.failed, 3u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_TRUE(stats.conserved());
+}
+
 TEST(DetectionServer, ShutdownDrainsAdmittedAndRejectsNew) {
   const api::Detector det = trained_detector();
   DetectionServer server(det, manual_config(4));
