@@ -308,6 +308,34 @@ TEST(Detector, RequestPathReturnsTypedErrorsInsteadOfThrowing) {
   EXPECT_THROW((void)det.detect(tiny_scene.scene, opts), std::invalid_argument);
 }
 
+// The old feature_counter/encode_cache_stats alias fields are gone, so the
+// telemetry struct alone decides where a scan's accounting goes: every sink it
+// names receives counts, and a later scan without telemetry adds nothing.
+TEST(Detector, TelemetrySinkWinsOverDeprecatedAliases) {
+  dataset::FaceDatasetConfig data_cfg;
+  data_cfg.image_size = 16;
+  data_cfg.num_samples = 40;
+  Detector det = small_face_detector();
+  det.fit(dataset::make_face_dataset(data_cfg));
+
+  core::OpCounter ops;
+  pipeline::EncodeCacheStats cache;
+  DetectOptions opts;
+  opts.threads = 2;
+  opts.telemetry = Telemetry{&ops, &cache};
+  const image::Image scene(32, 32, 0.5f);
+  det.detect_map(scene, opts);
+  const auto ops_total = ops.total();
+  const auto cells = cache.cells_computed;
+  EXPECT_GT(ops_total, 0u);
+  EXPECT_GT(cells, 0u);
+
+  opts.telemetry.reset();
+  det.detect_map(scene, opts);
+  EXPECT_EQ(ops.total(), ops_total);
+  EXPECT_EQ(cache.cells_computed, cells);
+}
+
 TEST(Detector, TelemetryEncodeCacheSinkSeesCellPlaneTraffic) {
   dataset::FaceDatasetConfig data_cfg;
   data_cfg.image_size = 16;

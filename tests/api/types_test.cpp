@@ -102,6 +102,14 @@ TEST(Validate, CellPlaneFaultPlanAcceptedWithEitherSinkForm) {
   EXPECT_EQ(validate(opts), std::nullopt);
 }
 
+// Every scan, faulted ones included, runs on the cell plane; a fault plan on
+// default options needs no telemetry sink of any kind.
+TEST(Validate, PerWindowFaultPlanNeedsNoSink) {
+  DetectOptions opts;
+  opts.fault_plan = noise::FaultPlan{};
+  EXPECT_EQ(validate(opts), std::nullopt);
+}
+
 TEST(Validate, AcceptsCalibratedCascade) {
   EXPECT_EQ(validate(calibrated_cascade_options()), std::nullopt);
 }
