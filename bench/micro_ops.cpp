@@ -406,16 +406,15 @@ CellChainReport time_cell_chain(std::size_t dim) {
     benchmark::DoNotOptimize(hd.pixel_bin(grad, fork));
   });
 
-  // Whole-cell raw-value pass, reference vs fused, same reseed stream so both
-  // time the identical workload (and the fused path stays on its contract:
-  // faithful mode, pooled context, no counter).
+  // Whole-cell raw-value pass, the reference oracle vs the fused kernel, same
+  // reseed stream so both time the identical workload (the fused path needs
+  // faithful mode and a pooled context).
   const hog::LevelIndexPlane levels =
       hog::build_level_index_plane(img, hd.item_memory());
   std::vector<double> out(cfg.hog.bins);
   r.cell_reference_ns = ns_per_op([&] {
     core::StochasticContext cell_ctx = ctx.fork(0xCE11);
-    hd.cell_raw_values(img, &levels, 8, 8, cell_ctx, out.data(),
-                       /*force_reference=*/true);
+    hd.cell_raw_values_reference(img, 8, 8, cell_ctx, out.data());
     benchmark::DoNotOptimize(out.data());
   });
   r.cell_fused_ns = ns_per_op([&] {

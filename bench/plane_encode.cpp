@@ -1,6 +1,6 @@
-// Plane-encode floor: lazy cell materialization driven by the cascade
-// prescreen + the fused batched per-cell kernel, against the eager
-// reference-chain baseline (DESIGN.md §14).
+// Plane-encode floor: the demand-set scan (cells filled only where the
+// cascade prescreen and its survivors read) + the fused batched per-cell
+// kernel, against a full-plane reference-chain baseline (DESIGN.md §14).
 //
 // hdlint: allow-file(wall-clock) — this bench *measures* elapsed time; the
 // timings are reported output and never influence what the detector computes.
@@ -12,17 +12,22 @@
 //      over mixed-background calibration scenes (the training distribution),
 //   2. times the cold end-to-end scan (plane encode + window scan) on the
 //      sparse scene in three configurations, cascade enabled in all three:
-//        baseline    eager plane, reference per-pixel cell chain
-//        eager+fused eager plane, fused batched cell kernel
-//        lazy+fused  lazy plane (prescreen-driven materialization) + fused
+//        baseline    full plane from a bench-local loop over the reference
+//                    per-pixel chain (HdHogExtractor::cell_raw_values_reference),
+//                    then detect_windows_on_plane
+//        eager+fused full plane from build_scene_cell_plane (fused kernel),
+//                    then detect_windows_on_plane
+//        lazy+fused  detect_windows_parallel: the demand-set scan (fused)
 //      All three produce bit-identical DetectionMaps — the fused kernel and
-//      the lazy schedule are pure performance choices.
-//   3. checks map-hash identity lazy vs eager and across threads {1, 4, 8}
-//      for both plane modes,
+//      the demand set are pure performance choices.
+//   3. checks map-hash identity of the demand-set scan against the full-plane
+//      scans, and across threads {1, 4, 8} for both,
 //   4. reports the materialized-cell fraction, prescreen-forced cells, and
 //      plane hit rate from EncodeCacheStats.
 // Results land in bench_out/plane_encode.json; CI (plane-smoke) gates with
-// jq on speedup >= 2, materialized_fraction < 0.6, and the identity flags.
+// jq on speedup >= 2, materialized_fraction < 0.6, and the identity flags
+// (the JSON keeps its field names: "lazy" is the demand-set scan, "eager"
+// the full plane).
 // The exit code enforces the correctness half (identities).
 //
 // Usage:
@@ -45,6 +50,7 @@
 #include "common.hpp"
 #include "core/kernels/kernels.hpp"
 #include "hog/cell_plane.hpp"
+#include "hog/hd_hog.hpp"
 #include "pipeline/cascade.hpp"
 #include "pipeline/parallel_detect.hpp"
 
@@ -105,8 +111,8 @@ int main(int argc, char** argv) {
   const double prescreen_fraction =
       args.get_double("prescreen-fraction", 0.25);
 
-  bench::print_header("Plane-encode floor: lazy cells + fused kernel",
-                      "prescreen-driven lazy materialization (DESIGN.md §14), "
+  bench::print_header("Plane-encode floor: demand-set cells + fused kernel",
+                      "prescreen-driven demand set (DESIGN.md §14), "
                       "sparse-scene Fig 6 scan workload");
 
   auto det_cfg = bench::hdface_config(dim);
@@ -146,7 +152,7 @@ int main(int argc, char** argv) {
       table.prescreen_spread_below, table.prescreen_vmax);
 
   // Sparse eval scene: flat background + `faces` pasted training-style faces.
-  // This is the lazy plane's home turf — almost every cell belongs only to
+  // This is the demand set's home turf — almost every cell belongs only to
   // prescreen-rejected windows.
   image::Image scene(scene_w, scene_h);
   for (float& p : scene.pixels()) p = 0.5f;
@@ -165,62 +171,78 @@ int main(int argc, char** argv) {
   }
 
   pipeline::Cascade cascade(det.pipeline()->classifier(), table);
-  const auto scan_cfg = [&](std::size_t threads, pipeline::PlaneMode mode,
-                            bool reference, bool with_cascade) {
+  const auto scan_cfg = [&](std::size_t threads) {
     pipeline::ParallelDetectConfig cfg;
     cfg.threads = threads;
-    cfg.plane_mode = mode;
-    cfg.reference_cell_chain = reference;
-    if (with_cascade) cfg.cascade = &cascade;
+    cfg.cascade = &cascade;
     return cfg;
   };
   auto& pl = *det.pipeline();
+  const hog::HdHogExtractor& hd = *pl.hd_extractor();
+  const std::size_t cell = hd.config().hog.cell_size;
+  const std::size_t grid_step = std::gcd(stride, cell);
+  // The full-plane scan: build_scene_cell_plane + detect_windows_on_plane.
+  const auto full_plane_scan = [&](std::size_t threads) {
+    const auto cfg = scan_cfg(threads);
+    const hog::CellPlane plane =
+        pipeline::build_scene_cell_plane(pl, scene, grid_step, cfg);
+    return pipeline::detect_windows_on_plane(pl, scene, plane, window, stride,
+                                             1, cfg);
+  };
 
   // --- cold end-to-end timings, cascade enabled ----------------------------
   pipeline::DetectionMap map_baseline;
   const double t_baseline = best_of(reps, [&] {
-    auto cfg = scan_cfg(1, pipeline::PlaneMode::kEager, true, true);
-    map_baseline =
-        pipeline::detect_windows_parallel(pl, scene, window, stride, 1, cfg);
+    // Every plane cell through the reference chain, on the engine's per-cell
+    // reseed key, so the plane holds the engine's exact bytes.
+    hog::CellPlane plane = hog::make_cell_plane_geometry(
+        scene_w, scene_h, cell, hd.config().hog.bins, grid_step, 0);
+    pl.prepare_concurrent();
+    const std::uint64_t seed = pl.config().seed;
+    core::StochasticContext ctx = pl.fork_context(seed);
+    for (std::size_t gy = 0; gy < plane.grid_y; ++gy) {
+      for (std::size_t gx = 0; gx < plane.grid_x; ++gx) {
+        ctx.reseed(hog::cell_plane_seed(seed, 0, gx, gy));
+        hd.cell_raw_values_reference(scene, gx * grid_step, gy * grid_step,
+                                     ctx, plane.mutable_cell(gx, gy));
+      }
+    }
+    map_baseline = pipeline::detect_windows_on_plane(pl, scene, plane, window,
+                                                     stride, 1, scan_cfg(1));
   });
-  pipeline::DetectionMap map_eager;
-  const double t_eager_fused = best_of(reps, [&] {
-    auto cfg = scan_cfg(1, pipeline::PlaneMode::kEager, false, true);
-    map_eager =
-        pipeline::detect_windows_parallel(pl, scene, window, stride, 1, cfg);
-  });
-  pipeline::DetectionMap map_lazy;
+  pipeline::DetectionMap map_full;
+  const double t_full_fused =
+      best_of(reps, [&] { map_full = full_plane_scan(1); });
+  pipeline::DetectionMap map_demand;
   pipeline::EncodeCacheStats estats;
   pipeline::CascadeStats cstats;
-  const double t_lazy = best_of(reps, [&] {
-    auto cfg = scan_cfg(1, pipeline::PlaneMode::kLazy, false, true);
+  const double t_demand = best_of(reps, [&] {
+    auto cfg = scan_cfg(1);
     estats = {};
     cstats = {};
     cfg.cache_stats = &estats;
     cfg.cascade_stats = &cstats;
-    map_lazy =
+    map_demand =
         pipeline::detect_windows_parallel(pl, scene, window, stride, 1, cfg);
   });
-  const double speedup = t_baseline / t_lazy;
-  const double fused_speedup = t_baseline / t_eager_fused;
-  const std::uint64_t h_eager = map_hash(map_eager);
-  const std::uint64_t h_lazy = map_hash(map_lazy);
-  bool identical = map_hash(map_baseline) == h_eager && h_eager == h_lazy;
+  const double speedup = t_baseline / t_demand;
+  const double fused_speedup = t_baseline / t_full_fused;
+  const std::uint64_t h_full = map_hash(map_full);
+  const std::uint64_t h_demand = map_hash(map_demand);
+  bool identical = map_hash(map_baseline) == h_full && h_full == h_demand;
 
   // --- thread parity: hashes must not move at any thread count -------------
   const std::size_t thread_counts[] = {1, 4, 8};
   bool thread_parity = true;
   for (const std::size_t t : thread_counts) {
-    for (const pipeline::PlaneMode mode :
-         {pipeline::PlaneMode::kEager, pipeline::PlaneMode::kLazy}) {
-      auto cfg = scan_cfg(t, mode, false, true);
-      const auto map =
-          pipeline::detect_windows_parallel(pl, scene, window, stride, 1, cfg);
-      thread_parity = thread_parity && map_hash(map) == h_lazy;
-    }
+    const auto demand = pipeline::detect_windows_parallel(pl, scene, window,
+                                                          stride, 1,
+                                                          scan_cfg(t));
+    thread_parity = thread_parity && map_hash(demand) == h_demand &&
+                    map_hash(full_plane_scan(t)) == h_demand;
   }
 
-  const std::size_t windows_total = map_lazy.steps_x * map_lazy.steps_y;
+  const std::size_t windows_total = map_demand.steps_x * map_demand.steps_y;
   const double frac = estats.cells_total == 0
                           ? 1.0
                           : static_cast<double>(estats.cells_computed) /
@@ -231,9 +253,9 @@ int main(int argc, char** argv) {
           : 1.0 - static_cast<double>(estats.cells_computed) /
                       static_cast<double>(estats.ensure_checks);
 
-  std::printf("cold e2e, cascade on: baseline (eager+reference) %.1f ms, "
-              "eager+fused %.1f ms, lazy+fused %.1f ms\n",
-              t_baseline, t_eager_fused, t_lazy);
+  std::printf("cold e2e, cascade on: baseline (full plane, reference chain) "
+              "%.1f ms, full plane fused %.1f ms, demand-set scan %.1f ms\n",
+              t_baseline, t_full_fused, t_demand);
   std::printf("speedup %.2fx (fused alone %.2fx)\n", speedup, fused_speedup);
   std::printf("windows %zu, prescreen rejected %llu of %llu\n", windows_total,
               static_cast<unsigned long long>(cstats.prescreen_rejected),
@@ -244,7 +266,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(estats.cells_total), frac,
               static_cast<unsigned long long>(estats.cells_forced_prescreen),
               hit_rate);
-  std::printf("maps: baseline/eager/lazy %s, threads {1,4,8} %s\n",
+  std::printf("maps: baseline/full plane/demand set %s, threads {1,4,8} %s\n",
               identical ? "bit-identical" : "MISMATCH",
               thread_parity ? "bit-identical" : "MISMATCH");
 
@@ -282,13 +304,13 @@ int main(int argc, char** argv) {
         table.prescreen_words,
         static_cast<unsigned long long>(cstats.prescreen_rejected),
         static_cast<unsigned long long>(cstats.prescreen_entered), t_baseline,
-        t_eager_fused, t_lazy, speedup, fused_speedup,
+        t_full_fused, t_demand, speedup, fused_speedup,
         static_cast<unsigned long long>(estats.cells_total),
         static_cast<unsigned long long>(estats.cells_computed),
         static_cast<unsigned long long>(estats.cells_forced_prescreen), frac,
         hit_rate, identical ? "true" : "false",
         thread_parity ? "true" : "false",
-        static_cast<unsigned long long>(h_lazy),
+        static_cast<unsigned long long>(h_demand),
         std::string(
             core::kernels::backend_name(core::kernels::active().backend))
             .c_str());

@@ -1,5 +1,7 @@
 #include "api/detector.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -20,22 +22,30 @@ namespace {
 
 // Everything that makes a scan unrunnable before it starts, shared by every
 // detect entry point (the Request path returns the Error, the legacy wrappers
-// throw it): options that fail validate(), and an orig-HOG pipeline, which
-// has no per-cell hypervector encode to scan with.
+// throw it): options that fail validate(), an orig-HOG pipeline, which has
+// no per-cell hypervector encode to scan with, and a NaN pixel, which has no
+// item-memory level (the engine's index_of treats one as a contract
+// violation).
 std::optional<Error> scan_error(pipeline::HdFacePipeline& pipeline,
-                                const DetectOptions& options) {
+                                const DetectOptions& options,
+                                const image::Image& scene) {
   if (auto err = validate(options)) return err;
   if (pipeline.hd_extractor() == nullptr) {
     return Error::invalid_options(
         "Detector: scene scans need an HD-HOG pipeline (orig-HOG features "
         "have no cell-plane encode)");
   }
+  const auto pixels = scene.pixels();
+  if (std::any_of(pixels.begin(), pixels.end(),
+                  [](float p) { return std::isnan(p); })) {
+    return Error::invalid_options("Detector: scene has a NaN pixel");
+  }
   return std::nullopt;
 }
 
 void check_or_throw(pipeline::HdFacePipeline& pipeline,
-                    const DetectOptions& options) {
-  if (auto err = scan_error(pipeline, options)) {
+                    const DetectOptions& options, const image::Image& scene) {
+  if (auto err = scan_error(pipeline, options, scene)) {
     throw InvalidOptionsError(std::move(*err));
   }
 }
@@ -88,14 +98,13 @@ pipeline::ParallelDetectConfig Detector::engine_config(
   // Points into the caller's options, which outlive the scan call.
   engine.fault_plan = options.fault_plan ? &*options.fault_plan : nullptr;
   engine.encode_mode = options.encode_mode;
-  engine.plane_mode = options.plane_mode;
   engine.cascade = cascade;
   return engine;
 }
 
 pipeline::DetectionMap Detector::detect_map(const image::Image& scene,
                                             const DetectOptions& options) {
-  check_or_throw(*pipeline_, options);
+  check_or_throw(*pipeline_, options, scene);
   const core::kernels::ScopedBackend backend(options.kernel_backend);
   if (options.fault_plan) {
     // Inject the plan's stored-memory faults for the duration of the scan;
@@ -154,12 +163,12 @@ std::vector<pipeline::Detection> Detector::detect_validated(
 
 std::vector<pipeline::Detection> Detector::detect(const image::Image& scene,
                                                   const DetectOptions& options) {
-  check_or_throw(*pipeline_, options);
+  check_or_throw(*pipeline_, options, scene);
   return detect_validated(scene, options);
 }
 
 Outcome<Response> Detector::detect(const Request& request) {
-  if (auto err = scan_error(*pipeline_, request.options)) {
+  if (auto err = scan_error(*pipeline_, request.options, request.scene)) {
     return std::move(*err);
   }
   if (request.scene.width() < window_ || request.scene.height() < window_) {

@@ -79,21 +79,21 @@ class Detector {
   // The redesigned entry point: one request schema for one-shot, batched and
   // served execution. Never throws on a malformed request — returns a typed
   // kInvalidOptions Error (or kInternal if execution raises), so serving
-  // workers survive any input. Detections are bit-identical to
+  // workers survive any input, a scene with a NaN pixel included. Detections are bit-identical to
   // detect(request.scene, request.options).
   Outcome<Response> detect(const Request& request);
 
   // Single-scale batched scan: the full per-window map (paper Fig 6 shape).
   // Uses options.threads/stride; scales/nms do not apply to the map view.
-  // Throws InvalidOptionsError (a std::invalid_argument) on bad options or
-  // an orig-HOG pipeline (scans need the HD-HOG cell encode).
+  // Throws InvalidOptionsError (a std::invalid_argument) on bad options, an
+  // orig-HOG pipeline (scans need the HD-HOG cell encode) or a NaN pixel.
   pipeline::DetectionMap detect_map(const image::Image& scene,
                                     const DetectOptions& options = {});
 
   // Boxes after scale merge (and NMS when enabled): single-scale when
   // options.scales == {1.0}, image-pyramid otherwise. Sorted by descending
   // score. Throws InvalidOptionsError (a std::invalid_argument) on bad
-  // options or an orig-HOG pipeline.
+  // options, an orig-HOG pipeline or a NaN pixel.
   std::vector<pipeline::Detection> detect(const image::Image& scene,
                                           const DetectOptions& options = {});
 

@@ -180,7 +180,7 @@ struct Telemetry {
 // DetectOptions
 
 // Per-call scan options. The defaults scan at native scale, stride 8, no NMS,
-// on the eager cell plane with exact scoring, batched across all cores.
+// on the cell plane with exact scoring, batched across all cores.
 // Validated by
 // api::validate(); the Request path returns a typed kInvalidOptions Error,
 // the legacy wrappers throw InvalidOptionsError.
@@ -207,11 +207,12 @@ struct DetectOptions {
   // thread count. Requires an HD-HOG pipeline; scans on an orig-HOG pipeline
   // fail with kInvalidOptions.
   pipeline::EncodeMode encode_mode = pipeline::EncodeMode::kCellPlane;
-  // Cell-plane population strategy. kEager (default) builds the whole scene
-  // plane before scanning; kLazy materializes each cell on its first window
-  // read — the DetectionMap is bit-identical (every cell reseeds from the
-  // same pure per-cell key), and with a prescreen-carrying calibrated
-  // cascade most cells of a sparse scene are never encoded at all.
+  // Has no effect. Every scan fills only the cells its windows demand: with
+  // a prescreen-carrying calibrated cascade, cells read only by
+  // prescreen-rejected windows are never encoded (see
+  // pipeline/parallel_detect.hpp). The field stays only because the
+  // end-to-end benchmark (e2ebench/cpp/scan.cpp) assigns it; it goes with
+  // that benchmark's next change.
   pipeline::PlaneMode plane_mode = pipeline::PlaneMode::kEager;
   // Observability sinks for this call (see Telemetry for the lifetime
   // contract).

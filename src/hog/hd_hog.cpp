@@ -188,17 +188,14 @@ void HdHogExtractor::cell_raw_values(const image::Image& img, std::size_t x0,
 void HdHogExtractor::cell_raw_values(const image::Image& img,
                                      const LevelIndexPlane* levels,
                                      std::size_t x0, std::size_t y0,
-                                     core::StochasticContext& ctx, double* out,
-                                     bool force_reference) const {
+                                     core::StochasticContext& ctx,
+                                     double* out) const {
   if (levels != nullptr &&
       (levels->width != img.width() || levels->height != img.height())) {
     throw std::invalid_argument(
         "HdHogExtractor: level-index plane geometry mismatches the image");
   }
-  // The fused path never charges an op counter (the modeled costs are defined
-  // by the reference chain), so accounting runs keep the reference ops.
-  if (!force_reference && config_.mode == HdHogMode::kFaithful &&
-      ctx.counter() == nullptr && ctx.pooled_fast_path()) {
+  if (config_.mode == HdHogMode::kFaithful && ctx.pooled_fast_path()) {
     cell_raw_values_fused(img, levels, x0, y0, ctx, out);
     return;
   }
@@ -264,6 +261,20 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
   // contract: each pooled_mask_view below stands where the reference draws
   // its bernoulli_mask, in the same order with the same probability, so the
   // RNG stream — and therefore every output double — is bit-identical.
+  //
+  // Op accounting follows the same contract. pooled_mask_view charges each
+  // draw like bernoulli_mask; the reference chain's other charges, in units
+  // of n words (word logic / popcount), are tallied below and added once:
+  //   per pixel       20 / 4   two halved differences (3 each), two sign
+  //                            decodes (1/1 each), two squares (decode 1/1,
+  //                            construct 1, multiply 2 each), the halved sum
+  //                            (3) and sqrt's pre-loop construct (1)
+  //   per boundary     7 / 1   multiply (2) + compare (1 + average 3 +
+  //                            decode 1/1)
+  //   per sqrt step    9 / 1   two constructs (1 each), multiply (2),
+  //                            compare (5/1); the breaking step counts
+  //   per repeat hit   3 / 0   the running-mean average
+  //   per filled bin   5 / 1   scale (zero construct 1 + average 3) + decode
   const auto& kt = core::kernels::active();
   const std::size_t bins = config_.hog.bins;
   const std::size_t cell = config_.hog.cell_size;
@@ -286,6 +297,9 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
   std::vector<std::uint64_t> bin_mean(bins * n);
   std::vector<std::size_t> bin_count(bins, 0);
   std::vector<bool> greater(boundary_consts_.size());
+  const std::uint64_t boundaries = boundary_consts_.size();
+  std::uint64_t logic_units = 0;
+  std::uint64_t popcount_units = 0;
 
   const auto pix = [&](std::ptrdiff_t x, std::ptrdiff_t y) {
     if (levels != nullptr) {
@@ -300,6 +314,8 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
     for (std::size_t px = 0; px < cell; ++px) {
       const auto xi = static_cast<std::ptrdiff_t>(x0 + px);
       const auto yi = static_cast<std::ptrdiff_t>(y0 + py);
+      logic_units += 20 + 7 * boundaries;
+      popcount_units += 4 + boundaries;
       // Gradient: V_G = A ⊕ (−B); the operand/result complements of the
       // halved difference fold into the select flips.
       {
@@ -381,6 +397,8 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
       double hi = 1.0;
       for (int it = 0; it < iters; ++it) {
         const double mval = (lo + hi) / 2.0;
+        logic_units += 9;
+        popcount_units += 1;
         {
           const auto m = ctx.pooled_mask_view((1.0 - mval) / 2.0);
           xor_rot(kt, basis, m, mid, n);
@@ -409,6 +427,7 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
       if (cnt == 0) {
         std::copy(mid, mid + n, mean);
       } else {
+        logic_units += 3;
         const double keep =
             static_cast<double>(cnt) / static_cast<double>(cnt + 1);
         const auto m = ctx.pooled_mask_view(keep);
@@ -424,6 +443,8 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
       out[b] = 0.0;
       continue;
     }
+    logic_units += 5;
+    popcount_units += 1;
     const double rate = static_cast<double>(bin_count[b]) /
                         static_cast<double>(pixels_per_cell);
     {
@@ -434,6 +455,10 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
     const std::uint64_t p =
         popsel_rot(kt, bin_mean.data() + b * n, zbuf, ms, basis, 0, n);
     out[b] = 1.0 - 2.0 * static_cast<double>(p) / dimd;
+  }
+  if (core::OpCounter* counter = ctx.counter()) {
+    counter->add(core::OpKind::kWordLogic, logic_units * n);
+    counter->add(core::OpKind::kPopcount, popcount_units * n);
   }
 }
 
@@ -567,7 +592,7 @@ double HdHogExtractor::gather_plane_slots_prescreen(
   const std::size_t n_slots = cells_x_ * cells_y_ * bins;
 
   // Subset gather: only cells on the plane's even/even parity grid are read
-  // (under a lazy plane the others may not exist yet). Excluded slots keep a
+  // (before the prescreen the scan fills no others). Excluded slots keep a
   // valid pointer — the bundler's min-weight skip runs before the
   // dereference, but the pointer must not dangle — with weight exactly 0.0.
   double vmax = config_.histogram_floor;

@@ -115,19 +115,27 @@ class HdHogExtractor {
   //     one or two passes of the dispatched word kernels (select_words /
   //     popcount_select_xor with the pooled-mask rotation applied as two
   //     contiguous segments), allocating a handful of flat word buffers per
-  //     cell instead of hundreds of Hypervector temporaries. It requires the
-  //     faithful mode, no attached op counter (charges live on the reference
-  //     chain), and ctx.pooled_fast_path().
-  //   * Otherwise the reference per-pixel chain runs (also when
-  //     `force_reference` is set — the bench/ablation baseline knob).
+  //     cell instead of hundreds of Hypervector temporaries. It runs in the
+  //     faithful mode when ctx.pooled_fast_path().
+  //   * Otherwise the reference per-pixel chain runs.
+  //
+  // Both charge ctx's op counter (when one is attached) the same counts: the
+  // fused kernel adds the reference chain's charges itself, and they are a
+  // pure function of the cell.
   //
   // `levels` optionally supplies the scene's precomputed pixel→level indices
   // (see build_level_index_plane); pass nullptr to quantize on the fly. The
   // plane must match the image geometry (throws std::invalid_argument).
   void cell_raw_values(const image::Image& img, const LevelIndexPlane* levels,
                        std::size_t x0, std::size_t y0,
-                       core::StochasticContext& ctx, double* out,
-                       bool force_reference = false) const;
+                       core::StochasticContext& ctx, double* out) const;
+
+  // The reference per-pixel chain alone (pixel_gradient, pixel_bin,
+  // pixel_magnitude and the running bin means on `ctx`): the oracle the fused
+  // kernel is tested and benchmarked against. Scans never call it directly.
+  void cell_raw_values_reference(const image::Image& img, std::size_t x0,
+                                 std::size_t y0, core::StochasticContext& ctx,
+                                 double* out) const;
 
   // Window assembly from a scene-level cell-plane cache: slices the window's
   // cells out of `plane`, then runs only the cheap per-window tail of
@@ -170,8 +178,8 @@ class HdHogExtractor {
 
     // Prescreen variant of reset: gathers ONLY the window's cells on the
     // even/even parity subgrid of the plane (absolute grid coordinates, so
-    // overlapping windows share the same subset cells — what lets the lazy
-    // plane serve every prescreen from ~¼ of the cells). Excluded slots get
+    // overlapping windows share the same subset cells — what lets the
+    // scan serve every prescreen from ~¼ of the cells). Excluded slots get
     // weight 0.0 (dropped by the bundler's min-weight skip before any
     // dereference). Subset values normalize by `norm_scale` when > 0 (the
     // table's calibrated prescreen_vmax, clamped to 1.0 — a fixed scale keeps
@@ -180,7 +188,8 @@ class HdHogExtractor {
     // The feature assembled after this call is the prescreen feature, NOT a
     // prefix of the full window feature — a surviving window must be
     // reset() again before staged cascade assembly. Never reads a cell off
-    // the parity subgrid (the lazy-plane safety contract). Requires
+    // the parity subgrid (the scan fills only those cells before the
+    // prescreen). Requires
     // plane.grid_step == cell_size (otherwise window-relative parity
     // degenerates; throws std::invalid_argument).
     void reset_prescreen(const CellPlane& plane, std::size_t origin_x,
@@ -282,10 +291,7 @@ class HdHogExtractor {
       double norm_scale, std::vector<const core::Hypervector*>& hvs,
       std::vector<double>& values) const;
 
-  // The two cell_raw_values implementations (see the public overload doc).
-  void cell_raw_values_reference(const image::Image& img, std::size_t x0,
-                                 std::size_t y0, core::StochasticContext& ctx,
-                                 double* out) const;
+  // The fused cell_raw_values implementation (see the public overload doc).
   void cell_raw_values_fused(const image::Image& img,
                              const LevelIndexPlane* levels, std::size_t x0,
                              std::size_t y0, core::StochasticContext& ctx,

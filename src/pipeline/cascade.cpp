@@ -300,7 +300,7 @@ CascadeTable calibrate_cascade(HdFacePipeline& pipeline,
   std::vector<std::size_t> cum(classes);
   std::vector<std::size_t> part(classes);
 
-  // Pass 1: golden maps + eager planes per scene (the exact cell-plane scan
+  // Pass 1: golden maps + full planes per scene (the exact cell-plane scan
   // the cascade must not falsely reject from, bit-identical at any thread
   // count), plus every positive window's parity-subset vmax. The prescreen
   // normalization scale must be fixed BEFORE any prescreen margin exists, so

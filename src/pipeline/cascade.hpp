@@ -87,8 +87,9 @@ class Cascade {
   // bundled from ONLY the window's even/even parity cells, so the prefix is
   // NOT a prefix of the full feature and a survivor must reset() again before
   // classify(). Rejected windows report the same (best rival, 1 − 2H/d)
-  // convention as a stage rejection, with stage = 0. Under a lazy plane this
-  // is what keeps non-parity cells of all-rejected regions unmaterialized.
+  // convention as a stage rejection, with stage = 0. The scan fills a
+  // window's other cells only when it survives this, which is what keeps
+  // non-parity cells of all-rejected regions unencoded.
   Result prescreen(hog::HdHogExtractor::StagedWindow& window, Scratch& scratch,
                    CascadeStats& stats,
                    core::OpCounter* counter = nullptr) const;

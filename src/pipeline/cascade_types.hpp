@@ -56,13 +56,13 @@ struct CascadeTable {
   int positive_class = 1;
   std::size_t window = 0;      // calibration scan window (provenance)
   std::size_t stride = 0;      // calibration scan stride (provenance)
-  // Optional cell-subset prescreen (the lazy-plane driver, DESIGN.md §14):
+  // Optional cell-subset prescreen (the demand-set driver, DESIGN.md §14):
   // before stage 0, each window is scored over ONLY its cells on the plane's
   // even/even parity subgrid (≈¼ of its cells, shared across overlapping
   // windows), bundled to a `prescreen_words` prefix and margin-thresholded
-  // like a stage. Under a lazy plane a prescreen-rejected window forces no
-  // cells beyond the parity subgrid, which is what keeps most of the plane
-  // unmaterialized. 0 = disabled (tables serialize byte-identically to v1).
+  // like a stage. A prescreen-rejected window demands no cells beyond the
+  // parity subgrid, which is what keeps most of the plane unencoded.
+  // 0 = disabled (tables serialize byte-identically to v1).
   std::size_t prescreen_words = 0;
   double prescreen_reject_below = 0.0;
   // Calibrated normalization constant for the prescreen gather: subset slot

@@ -22,38 +22,36 @@ enum class EncodeMode {
   kCellPlane,
 };
 
-// How the cell-plane cache is populated.
+// Has no effect: every scan fills the cells its windows demand (see
+// pipeline/parallel_detect.hpp). Both enumerators stay only because the
+// end-to-end benchmark (e2ebench/cpp/scan.cpp) assigns them; they go with
+// that benchmark's next change.
 enum class PlaneMode {
-  // build_scene_cell_plane encodes EVERY grid cell up front.
   kEager,
-  // Lazy materialization (hog/lazy_cell_plane.hpp): a cell's stochastic chain
-  // runs the first time any window reads it. Bit-identical DetectionMaps to
-  // kEager by construction (every cell reseeds from the same pure key); the
-  // win is cells never read — with a prescreen-carrying cascade, cells that
-  // belong only to prescreen-rejected windows are never encoded.
   kLazy,
 };
 
 // Exact cache accounting for a cell-plane scan, merged from per-chunk shards
-// (ShardedTally) after the scan — totals are identical at every thread count.
-// The lazy-mode extras are exact too: the SET of materialized cells is a pure
-// function of (model, scene, cascade table), not of scheduling, so its size
-// and parity-subgrid slice are thread-count invariant.
+// after the scan — totals are identical at every thread count. The SET of
+// filled cells is a pure function of (model, scene, cascade table), not of
+// scheduling, so its size and parity-subgrid slice are exact too.
 struct EncodeCacheStats {
-  // Cells whose stochastic chain actually ran (the compute side; in lazy mode
-  // this is the materialized-cell count, ≤ cells_total).
+  // Cells whose stochastic chain actually ran: the scan's demand set (the
+  // cells its prescreened and surviving windows read), or every plane cell
+  // for build_scene_cell_plane. detect_windows_on_plane fills nothing.
   std::uint64_t cells_computed = 0;
-  // Grid cells the plane geometry holds (eager mode computes all of them).
-  // cells_computed / cells_total is the materialized fraction the
-  // plane-encode bench gates on.
+  // Grid cells the plane geometry holds. cells_computed / cells_total is the
+  // materialized fraction the plane-encode bench gates on.
   std::uint64_t cells_total = 0;
-  // Materialized cells on the even/even parity subgrid the cascade prescreen
-  // reads — the cells the prescreen driver forced (lazy + prescreen scans
-  // only; 0 otherwise).
+  // Filled cells on the even/even parity subgrid the cascade prescreen reads
+  // — the cells the prescreen phase demanded (prescreen scans only; 0
+  // otherwise).
   std::uint64_t cells_forced_prescreen = 0;
-  // Lazy-mode materialization-gate probes (one per window × cell-it-reads).
+  // (window, cell) reads, in every scan: a prescreened window reads its
+  // parity cells, and a window scored by the stages or at full D reads all
+  // of its cells (a survivor of the prescreen counts both).
   // 1 − cells_computed / ensure_checks is the plane hit rate: the fraction of
-  // probes answered by an already-materialized cell.
+  // reads answered by a cell some earlier read already demanded.
   std::uint64_t ensure_checks = 0;
   // Cached (cell, bin) slot values consumed by window assembly (the hit
   // side; a per-window encode would have recomputed each of these). A

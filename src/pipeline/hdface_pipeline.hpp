@@ -58,6 +58,9 @@ class HdFacePipeline {
   // has no hypervector item memory to corrupt. See pipeline::FaultSession.
   learn::HdcClassifier& mutable_classifier() { return *classifier_; }
   hog::HdHogExtractor* hd_extractor() { return hd_extractor_.get(); }
+  const hog::HdHogExtractor* hd_extractor() const {
+    return hd_extractor_.get();
+  }
 
   // Image → feature hypervector (the encoder must be calibrated first in
   // kOrigHogEncoder mode; fit() and encode_dataset() handle that).

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
-#include "core/rng.hpp"
 #include "hog/gradient.hpp"
-#include "hog/lazy_cell_plane.hpp"
 #include "pipeline/cascade.hpp"
 
 namespace hdface::pipeline {
@@ -38,6 +40,75 @@ PoolChoice resolve_pool(const ParallelDetectConfig& config) {
   return choice;
 }
 
+// Per-chunk accounting: each chunk of a dispatch claims one padded shard, and
+// the shards merge into the caller's sinks with integer adds after the
+// dispatch joins, so every total is exact and equal at every thread count.
+struct alignas(64) Shard {
+  core::OpCounter ops;
+  CascadeStats cascade;
+  EncodeCacheStats cache;
+};
+
+core::OpCounter* ops_of(const ParallelDetectConfig& config, Shard& shard) {
+  return config.feature_counter ? &shard.ops : nullptr;
+}
+
+// The engine's one dispatch: body(shard, lo, hi) over [0, count), serially or
+// in contiguous chunks on the resolved pool, then the shards merge into
+// config's feature_counter, cascade_stats (cascade scans only) and
+// cache_stats.
+template <typename Body>
+void run_sharded(const PoolChoice& exec, const ParallelDetectConfig& config,
+                 std::size_t count, Body&& body) {
+  std::vector<Shard> shards(exec.serial() ? 1 : exec.pool->size() * 4 + 1);
+  if (exec.serial()) {
+    body(shards[0], 0, count);
+  } else {
+    std::atomic<std::size_t> next_shard{0};
+    util::parallel_for_chunked(
+        *exec.pool, 0, count, config.min_chunk,
+        [&body, &shards, &next_shard](std::size_t lo, std::size_t hi) {
+          // hdlint: allow(sched-dependent-value) — shard totals merge with
+          // integer adds, so the merged totals are exact at every thread count.
+          body(shards[next_shard.fetch_add(1) % shards.size()], lo, hi);
+        });
+  }
+  for (const Shard& s : shards) {
+    if (config.feature_counter) config.feature_counter->merge(s.ops);
+    if (config.cascade != nullptr && config.cascade_stats) {
+      config.cascade_stats->merge(s.cascade);
+    }
+    if (config.cache_stats) config.cache_stats->merge(s.cache);
+  }
+}
+
+// Encodes the listed plane cells (row-major grid indices), each on a scratch
+// context reseeded from the pure (seed, scale_index, gx, gy) key — the same
+// bytes whichever chunk or thread runs it. Listed cells are distinct, so the
+// writes are disjoint and need no flags or locks. The cell kernel charges the
+// chunk's op-counter shard through the scratch context.
+void fill_cells(const HdFacePipeline& pipeline, const image::Image& scene,
+                const hog::LevelIndexPlane& levels, hog::CellPlane& plane,
+                const std::vector<std::size_t>& cells, const PoolChoice& exec,
+                const ParallelDetectConfig& config) {
+  const hog::HdHogExtractor& extractor = *pipeline.hd_extractor();
+  const std::uint64_t seed = pipeline.config().seed;
+  run_sharded(exec, config, cells.size(),
+              [&](Shard& shard, std::size_t lo, std::size_t hi) {
+                core::StochasticContext scratch = pipeline.fork_context(seed);
+                scratch.set_counter(ops_of(config, shard));
+                for (std::size_t i = lo; i < hi; ++i) {
+                  const std::size_t gx = cells[i] % plane.grid_x;
+                  const std::size_t gy = cells[i] / plane.grid_x;
+                  scratch.reseed(
+                      hog::cell_plane_seed(seed, plane.scale_index, gx, gy));
+                  extractor.cell_raw_values(
+                      scene, &levels, gx * plane.grid_step,
+                      gy * plane.grid_step, scratch, plane.mutable_cell(gx, gy));
+                }
+              });
+}
+
 DetectionMap make_map_geometry(const image::Image& scene, std::size_t window,
                                std::size_t stride) {
   if (window == 0 || stride == 0) {
@@ -58,88 +129,8 @@ DetectionMap make_map_geometry(const image::Image& scene, std::size_t window,
   return map;
 }
 
-// Cell-plane window assembly for windows [lo, hi): only the cheap per-window
-// tail runs here (plane slicing, vmax normalization, level lookup, weighted
-// bundling) — no stochastic context at all, so the result is trivially
-// independent of scheduling.
-void assemble_range(const HdFacePipeline& pipeline,
-                    const hog::HdHogExtractor& extractor,
-                    const hog::CellPlane& plane, const DetectionMap& geometry,
-                    std::size_t stride, int positive_class,
-                    const noise::FaultPlan* fault_plan,
-                    core::OpCounter* counter, std::size_t lo, std::size_t hi,
-                    std::vector<int>& predictions, std::vector<double>& scores) {
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const std::size_t sx = idx % geometry.steps_x;
-    const std::size_t sy = idx / geometry.steps_x;
-    core::Hypervector feature =
-        extractor.extract_from_plane(plane, sx * stride, sy * stride, counter);
-    if (fault_plan) noise::apply_query_fault(*fault_plan, idx, feature);
-    const auto class_scores = pipeline.classifier().scores(feature);
-    predictions[idx] = static_cast<int>(
-        std::max_element(class_scores.begin(), class_scores.end()) -
-        class_scores.begin());
-    scores[idx] = class_scores[static_cast<std::size_t>(positive_class)];
-  }
-}
-
-// Number of even values in [g0, g0 + count) — the parity-subgrid cell count
-// along one axis of a window (prescreen geometry has grid step 1 per cell).
-std::size_t even_count(std::size_t g0, std::size_t count) {
-  return (count + 1 - (g0 & 1)) / 2;
-}
-
-// Cascaded cell-plane scan for windows [lo, hi): staged prefix scoring with
-// early rejection (see pipeline/cascade.hpp), preceded by the table's
-// parity-cell prescreen when it carries one. Shares the plane with the exact
-// path; survivors produce bit-identical (prediction, score). Stage counters
-// accumulate into the chunk-local `stats`, slot-read accounting into the
-// chunk-local `estats` (a prescreen-rejected window consumes only its parity
-// slots, so the geometric total·slots formula no longer applies here).
-void cascade_range(const HdFacePipeline& pipeline,
-                   const hog::HdHogExtractor& extractor,
-                   const hog::CellPlane& plane, const DetectionMap& geometry,
-                   std::size_t stride, const Cascade& cascade,
-                   core::OpCounter* counter, CascadeStats& stats,
-                   EncodeCacheStats& estats, std::size_t lo, std::size_t hi,
-                   std::vector<int>& predictions, std::vector<double>& scores) {
-  hog::HdHogExtractor::StagedWindow win(extractor);
-  Cascade::Scratch scratch;
-  const bool prescreen = cascade.has_prescreen();
-  const std::size_t cells_per_side =
-      geometry.window / extractor.config().hog.cell_size;
-  for (std::size_t idx = lo; idx < hi; ++idx) {
-    const std::size_t sx = idx % geometry.steps_x;
-    const std::size_t sy = idx / geometry.steps_x;
-    const std::size_t ox = sx * stride;
-    const std::size_t oy = sy * stride;
-    ++estats.windows_assembled;
-    if (prescreen) {
-      // Prescreen geometry requires grid_step == cell_size (validated by the
-      // caller), so the window's cells sit at consecutive grid coordinates.
-      estats.slot_reads += even_count(ox / plane.grid_step, cells_per_side) *
-                           even_count(oy / plane.grid_step, cells_per_side) *
-                           plane.bins;
-      win.reset_prescreen(plane, ox, oy, cascade.table().prescreen_vmax);
-      const Cascade::Result r = cascade.prescreen(win, scratch, stats, counter);
-      if (r.rejected) {
-        predictions[idx] = r.prediction;
-        scores[idx] = r.score;
-        continue;
-      }
-    }
-    estats.slot_reads += extractor.slots();
-    win.reset(plane, ox, oy);
-    const Cascade::Result r =
-        cascade.classify(pipeline.classifier(), win, scratch, stats, counter);
-    predictions[idx] = r.prediction;
-    scores[idx] = r.score;
-  }
-}
-
-// Shared cascade-config validation: the same throws whether the caller goes
-// through detect_windows_parallel (fast-fail, before the plane build) or
-// detect_windows_on_plane.
+// Shared cascade-config validation: the same throws whichever entry point
+// the caller goes through.
 void validate_cascade_config(const ParallelDetectConfig& config,
                              int positive_class) {
   if (config.cascade == nullptr) return;
@@ -155,226 +146,33 @@ void validate_cascade_config(const ParallelDetectConfig& config,
   }
 }
 
-// Lazy cell-plane scan (PlaneMode::kLazy): the plane starts empty and a cell
-// is encoded the first time any window reads it (hog/lazy_cell_plane.hpp).
-// With a prescreen-carrying cascade each window first materializes only its
-// even/even parity cells, prescreens on them, and escalates to the full cell
-// set only on survival — cells belonging exclusively to prescreen-rejected
-// windows are never encoded. Every cell reseeds from the same pure
-// (seed, scale, gx, gy) key as the eager build, so the DetectionMap is
-// bit-identical to kEager at any thread count and any scheduling: laziness
-// changes WHEN (and whether) a cell's bytes are computed, never the bytes.
-// The caller (detect_windows_parallel) has checked the extractor.
-DetectionMap detect_windows_lazy_plane(HdFacePipeline& pipeline,
-                                       const image::Image& scene,
-                                       std::size_t window, std::size_t stride,
-                                       int positive_class,
-                                       const ParallelDetectConfig& config) {
-  DetectionMap map = make_map_geometry(scene, window, stride);
-  const std::size_t total = map.steps_x * map.steps_y;
-  validate_cascade_config(config, positive_class);
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  const std::size_t cell = extractor->config().hog.cell_size;
-  const std::size_t bins = extractor->config().hog.bins;
-  const std::size_t grid_step = std::gcd(stride, cell);
-  const bool prescreen =
-      config.cascade != nullptr && config.cascade->has_prescreen();
-  if (prescreen && grid_step != cell) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: a prescreen-carrying cascade table needs "
-        "stride % cell_size == 0 so the parity subgrid is well defined");
-  }
-
-  hog::LazyCellPlane lazy(hog::make_cell_plane_geometry(
-      scene.width(), scene.height(), cell, bins, grid_step,
-      config.scale_index));
-  const hog::CellPlane& plane = lazy.plane();
-  const std::size_t cells_per_side = window / cell;
-  if (!plane.window_on_grid(0, 0, cells_per_side, cells_per_side) ||
-      !plane.window_on_grid((map.steps_x - 1) * stride,
-                            (map.steps_y - 1) * stride, cells_per_side,
-                            cells_per_side)) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: lazy cell plane does not cover the scan "
-        "grid");
-  }
-  // Grid cells between adjacent window cells (1 when grid_step == cell).
-  const std::size_t gstep = cell / plane.grid_step;
-
-  // The one mutation, before any dispatch: freeze the shared mask pool.
-  pipeline.prepare_concurrent();
-  const std::uint64_t seed = pipeline.config().seed;
-  const HdFacePipeline& frozen = pipeline;
-  // Scene-scale pixel→level planar pass shared by every cell encode (see
-  // build_scene_cell_plane).
-  const hog::LevelIndexPlane levels =
-      hog::build_level_index_plane(scene, extractor->item_memory());
-
-  // Window work for [lo, hi): materialize the cells the window actually
-  // reads, then score it exactly like the eager paths. Threads write disjoint
-  // cells (the once-gate serializes racers per cell) and read only cells they
-  // ensured, so the plane needs no further locking.
-  const auto run_range = [&](core::StochasticContext& scratch,
-                             core::OpCounter* counter, CascadeStats& cstats,
-                             EncodeCacheStats& estats, std::size_t lo,
-                             std::size_t hi) {
-    hog::HdHogExtractor::StagedWindow win(*extractor);
-    Cascade::Scratch cascade_scratch;
-    const auto ensure = [&](std::size_t gx, std::size_t gy) {
-      ++estats.ensure_checks;
-      lazy.ensure_cell(gx, gy, [&](double* out) {
-        scratch.reseed(hog::cell_plane_seed(seed, config.scale_index, gx, gy));
-        extractor->cell_raw_values(scene, &levels, gx * plane.grid_step,
-                                   gy * plane.grid_step, scratch, out,
-                                   config.reference_cell_chain);
-      });
-    };
-    for (std::size_t idx = lo; idx < hi; ++idx) {
-      const std::size_t sx = idx % map.steps_x;
-      const std::size_t sy = idx / map.steps_x;
-      const std::size_t ox = sx * stride;
-      const std::size_t oy = sy * stride;
-      const std::size_t gx0 = ox / plane.grid_step;
-      const std::size_t gy0 = oy / plane.grid_step;
-      ++estats.windows_assembled;
-      if (prescreen) {
-        // Parity pass: only the window's even/even cells (gstep == 1 here —
-        // grid_step == cell was validated above).
-        std::size_t parity_cells = 0;
-        for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
-          const std::size_t gy = gy0 + cy;
-          if (gy % 2 != 0) continue;
-          for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
-            const std::size_t gx = gx0 + cx;
-            if (gx % 2 != 0) continue;
-            ensure(gx, gy);
-            ++parity_cells;
-          }
-        }
-        estats.slot_reads += parity_cells * bins;
-        win.reset_prescreen(plane, ox, oy,
-                            config.cascade->table().prescreen_vmax);
-        const Cascade::Result r =
-            config.cascade->prescreen(win, cascade_scratch, cstats, counter);
-        if (r.rejected) {
-          map.predictions[idx] = r.prediction;
-          map.scores[idx] = r.score;
-          continue;
-        }
-      }
-      for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
-        for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
-          ensure(gx0 + cx * gstep, gy0 + cy * gstep);
-        }
-      }
-      estats.slot_reads += extractor->slots();
-      if (config.cascade != nullptr) {
-        win.reset(plane, ox, oy);
-        const Cascade::Result r = config.cascade->classify(
-            frozen.classifier(), win, cascade_scratch, cstats, counter);
-        map.predictions[idx] = r.prediction;
-        map.scores[idx] = r.score;
-      } else {
-        core::Hypervector feature =
-            extractor->extract_from_plane(plane, ox, oy, counter);
-        if (config.fault_plan) {
-          noise::apply_query_fault(*config.fault_plan, idx, feature);
-        }
-        const auto class_scores = frozen.classifier().scores(feature);
-        map.predictions[idx] = static_cast<int>(
-            std::max_element(class_scores.begin(), class_scores.end()) -
-            class_scores.begin());
-        map.scores[idx] =
-            class_scores[static_cast<std::size_t>(positive_class)];
-      }
-    }
-  };
-
-  PoolChoice exec = resolve_pool(config);
-  if (exec.serial()) {
-    core::StochasticContext scratch = frozen.fork_context(seed);
-    core::OpCounter local;
-    if (config.feature_counter) scratch.set_counter(&local);
-    CascadeStats cascade_local;
-    EncodeCacheStats cache_local;
-    run_range(scratch, config.feature_counter ? &local : nullptr,
-              cascade_local, cache_local, 0, total);
-    if (config.feature_counter) config.feature_counter->merge(local);
-    if (config.cascade != nullptr && config.cascade_stats) {
-      config.cascade_stats->merge(cascade_local);
-    }
-    if (config.cache_stats) config.cache_stats->merge(cache_local);
-  } else {
-    core::ShardedOpCounter shards(exec.pool->size() * 4 + 1);
-    std::vector<CascadeStats> stat_shards(shards.num_shards());
-    std::vector<EncodeCacheStats> cache_shards(shards.num_shards());
-    std::atomic<std::size_t> next_shard{0};
-    util::parallel_for_chunked(
-        *exec.pool, 0, total, config.min_chunk,
-        [&run_range, &frozen, &config, &shards, &stat_shards, &cache_shards,
-         &next_shard, seed](std::size_t lo, std::size_t hi) {
-          core::StochasticContext scratch =
-              frozen.fork_context(core::mix64(seed, lo));
-          // hdlint: allow(sched-dependent-value) — shard totals merge with
-          // integer adds, so combined() is exact at every thread count.
-          const std::size_t slot = next_shard.fetch_add(1) %
-                                   shards.num_shards();
-          core::OpCounter* shard = nullptr;
-          if (config.feature_counter) {
-            shard = &shards.shard(slot);
-            scratch.set_counter(shard);
-          }
-          run_range(scratch, shard, stat_shards[slot], cache_shards[slot], lo,
-                    hi);
-        });
-    if (config.feature_counter) config.feature_counter->merge(shards.combined());
-    if (config.cascade != nullptr && config.cascade_stats) {
-      for (const CascadeStats& s : stat_shards) config.cascade_stats->merge(s);
-    }
-    if (config.cache_stats) {
-      for (const EncodeCacheStats& s : cache_shards) {
-        config.cache_stats->merge(s);
-      }
-    }
-  }
-  if (config.cache_stats) {
-    // Compute-side accounting from the materialization flags: the SET of
-    // materialized cells is a pure function of (model, scene, table) — which
-    // thread filled a cell varies, whether it got filled does not.
-    config.cache_stats->cells_total += plane.cells();
-    config.cache_stats->cells_computed += lazy.count_materialized(false);
-    if (prescreen) {
-      config.cache_stats->cells_forced_prescreen +=
-          lazy.count_materialized(true);
-    }
-  }
-  return map;
+// Number of even values in [g0, g0 + count) — the parity-subgrid cell count
+// along one axis of a window (prescreen geometry has grid step 1 per cell).
+std::size_t even_count(std::size_t g0, std::size_t count) {
+  return (count + 1 - (g0 & 1)) / 2;
 }
 
-}  // namespace
-
-DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
-                                     const image::Image& scene,
-                                     const hog::CellPlane& plane,
-                                     std::size_t window, std::size_t stride,
-                                     int positive_class,
-                                     const ParallelDetectConfig& config) {
+// One scan over a cell plane, in phases:
+//   (a) fill the even/even parity cells the prescreen reads,
+//   (b) prescreen every window,
+//   (c) fill the cells of the surviving windows not filled yet,
+//   (d) run the cascade stages and full-D scoring on the survivors.
+// Without a prescreen every window survives (b), so (c) fills every cell the
+// scan reads. `fill` encodes a list of plane cells; it is empty when the
+// caller's plane is already complete (detect_windows_on_plane), and then the
+// phases only score. Every window's result is a pure function of the cells
+// it reads, so the map is the same whichever cells were filled when.
+DetectionMap scan_plane(
+    const HdFacePipeline& pipeline, const image::Image& scene,
+    const hog::CellPlane& plane, std::size_t window, std::size_t stride,
+    int positive_class, const ParallelDetectConfig& config,
+    const PoolChoice& exec,
+    const std::function<void(const std::vector<std::size_t>&)>& fill) {
   DetectionMap map = make_map_geometry(scene, window, stride);
   const std::size_t total = map.steps_x * map.steps_y;
-  validate_cascade_config(config, positive_class);
-
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "detect_windows_on_plane: pipeline has no HD-HOG extractor");
-  }
-  const std::size_t cell = extractor->config().hog.cell_size;
-  const std::size_t bins = extractor->config().hog.bins;
-  if (plane.cell_size != cell || plane.bins != bins) {
-    throw std::invalid_argument(
-        "detect_windows_on_plane: plane cell/bin shape mismatches the "
-        "pipeline's extractor");
-  }
+  const hog::HdHogExtractor& extractor = *pipeline.hd_extractor();
+  const std::size_t cell = extractor.config().hog.cell_size;
+  const std::size_t bins = extractor.config().hog.bins;
   // Every scan window must land on the plane's grid with its far corner
   // inside. Origins are the multiples of stride, so stride % grid_step == 0
   // puts every origin on the grid; the far-corner extent is monotone in the
@@ -389,170 +187,209 @@ DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
         "detect_windows_on_plane: plane does not cover the scan grid (build "
         "it with grid_step = gcd(stride, cell_size) over the same scene)");
   }
-  if (config.cascade != nullptr && config.cascade->has_prescreen() &&
-      plane.grid_step != cell) {
+  const Cascade* cascade = config.cascade;
+  const bool prescreen = cascade != nullptr && cascade->has_prescreen();
+  if (prescreen && plane.grid_step != cell) {
     throw std::invalid_argument(
-        "detect_windows_on_plane: a prescreen-carrying cascade table needs "
-        "the plane grid step to equal the cell size (stride % cell_size == 0) "
-        "so the parity subgrid is well defined");
+        "detect_windows_parallel: a prescreen-carrying cascade table needs "
+        "stride % cell_size == 0 so the parity subgrid is well defined");
   }
+  // Grid cells between adjacent window cells (1 when grid_step == cell).
+  const std::size_t gstep = cell / plane.grid_step;
+  const auto origin = [&](std::size_t idx) {
+    return std::pair{(idx % map.steps_x) * stride,
+                     (idx / map.steps_x) * stride};
+  };
 
-  // The one mutation, before any dispatch: freeze the shared mask pool.
-  pipeline.prepare_concurrent();
-  const HdFacePipeline& frozen = pipeline;
-  const std::size_t slots_per_window = extractor->slots();
-
-  PoolChoice exec = resolve_pool(config);
-  if (exec.serial()) {
-    core::OpCounter local;
-    CascadeStats cascade_local;
-    EncodeCacheStats cache_local;
-    if (config.cascade != nullptr) {
-      cascade_range(frozen, *extractor, plane, map, stride, *config.cascade,
-                    config.feature_counter ? &local : nullptr, cascade_local,
-                    cache_local, 0, total, map.predictions, map.scores);
+  // Demand tracking, only when this scan fills its own plane: a cell is
+  // listed for a fill the first time a window of the phase reads it.
+  std::vector<std::uint8_t> filled(fill ? plane.cells() : 0, 0);
+  std::uint64_t cells_filled = 0;
+  const auto fill_demand = [&](const std::vector<std::size_t>& windows,
+                               bool parity_only) -> std::size_t {
+    if (!fill) return 0;
+    std::vector<std::size_t> cells;
+    const auto want = [&](std::size_t gx, std::size_t gy) {
+      const std::size_t c = gy * plane.grid_x + gx;
+      if ((parity_only && (gx % 2 != 0 || gy % 2 != 0)) || filled[c] != 0) {
+        return;
+      }
+      filled[c] = 1;
+      cells.push_back(c);
+    };
+    if (windows.size() == total) {
+      // Every window: the cells read are the product of the grid columns
+      // and the grid rows some window reads, which is cheaper to mark than
+      // window by window.
+      const auto axis_reads = [&](std::size_t steps, std::size_t n) {
+        std::vector<std::uint8_t> reads(n, 0);
+        for (std::size_t s = 0; s < steps; ++s) {
+          for (std::size_t c = 0; c < cells_per_side; ++c) {
+            reads[s * stride / plane.grid_step + c * gstep] = 1;
+          }
+        }
+        return reads;
+      };
+      const auto xs = axis_reads(map.steps_x, plane.grid_x);
+      const auto ys = axis_reads(map.steps_y, plane.grid_y);
+      for (std::size_t gy = 0; gy < plane.grid_y; ++gy) {
+        for (std::size_t gx = 0; gx < plane.grid_x; ++gx) {
+          if (xs[gx] != 0 && ys[gy] != 0) want(gx, gy);
+        }
+      }
     } else {
-      assemble_range(frozen, *extractor, plane, map, stride, positive_class,
-                     config.fault_plan,
-                     config.feature_counter ? &local : nullptr, 0, total,
-                     map.predictions, map.scores);
-    }
-    if (config.feature_counter) config.feature_counter->merge(local);
-    if (config.cascade != nullptr && config.cascade_stats) {
-      config.cascade_stats->merge(cascade_local);
-    }
-    if (config.cascade != nullptr && config.cache_stats) {
-      config.cache_stats->merge(cache_local);
-    }
-  } else {
-    core::ShardedOpCounter shards(exec.pool->size() * 4 + 1);
-    // Stage counters shard exactly like op counters: each chunk claims one
-    // padded slot, totals merge with integer adds after the scan, so the
-    // combined stats are exact and identical at every thread count.
-    std::vector<CascadeStats> stat_shards(
-        config.cascade != nullptr ? shards.num_shards() : 0);
-    std::vector<EncodeCacheStats> cache_shards(
-        config.cascade != nullptr ? shards.num_shards() : 0);
-    std::atomic<std::size_t> next_shard{0};
-    util::parallel_for_chunked(
-        *exec.pool, 0, total, config.min_chunk,
-        [&config, &shards, &stat_shards, &cache_shards, &next_shard, &frozen,
-         &extractor, &plane, &map, stride,
-         positive_class](std::size_t lo, std::size_t hi) {
-          core::OpCounter* shard = nullptr;
-          std::size_t slot = 0;
-          if (config.feature_counter || config.cascade != nullptr) {
-            // hdlint: allow(sched-dependent-value) — shard totals merge with
-            // integer adds, so combined() is exact at every thread count.
-            slot = next_shard.fetch_add(1) % shards.num_shards();
-            if (config.feature_counter) shard = &shards.shard(slot);
+      for (const std::size_t idx : windows) {
+        const auto [ox, oy] = origin(idx);
+        for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
+          for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
+            want(ox / plane.grid_step + cx * gstep,
+                 oy / plane.grid_step + cy * gstep);
           }
-          if (config.cascade != nullptr) {
-            cascade_range(frozen, *extractor, plane, map, stride,
-                          *config.cascade, shard, stat_shards[slot],
-                          cache_shards[slot], lo, hi, map.predictions,
-                          map.scores);
-          } else {
-            assemble_range(frozen, *extractor, plane, map, stride,
-                           positive_class, config.fault_plan, shard, lo, hi,
-                           map.predictions, map.scores);
-          }
-        });
-    if (config.feature_counter) config.feature_counter->merge(shards.combined());
-    if (config.cascade != nullptr && config.cascade_stats) {
-      for (const CascadeStats& s : stat_shards) config.cascade_stats->merge(s);
-    }
-    if (config.cascade != nullptr && config.cache_stats) {
-      for (const EncodeCacheStats& s : cache_shards) {
-        config.cache_stats->merge(s);
+        }
       }
     }
+    fill(cells);
+    cells_filled += cells.size();
+    return cells.size();
+  };
+
+  std::vector<std::size_t> live(total);
+  std::iota(live.begin(), live.end(), std::size_t{0});
+  std::uint64_t forced_prescreen = 0;
+  if (prescreen) {
+    forced_prescreen = fill_demand(live, /*parity_only=*/true);  // (a)
+    std::vector<std::uint8_t> rejected(total, 0);
+    run_sharded(exec, config, total,  // (b)
+                [&](Shard& shard, std::size_t lo, std::size_t hi) {
+                  hog::HdHogExtractor::StagedWindow win(extractor);
+                  Cascade::Scratch scratch;
+                  for (std::size_t idx = lo; idx < hi; ++idx) {
+                    const auto [ox, oy] = origin(idx);
+                    const std::size_t parity_cells =
+                        even_count(ox / plane.grid_step, cells_per_side) *
+                        even_count(oy / plane.grid_step, cells_per_side);
+                    shard.cache.ensure_checks += parity_cells;
+                    shard.cache.slot_reads += parity_cells * bins;
+                    win.reset_prescreen(plane, ox, oy,
+                                        cascade->table().prescreen_vmax);
+                    const Cascade::Result r = cascade->prescreen(
+                        win, scratch, shard.cascade, ops_of(config, shard));
+                    if (r.rejected) {
+                      rejected[idx] = 1;
+                      map.predictions[idx] = r.prediction;
+                      map.scores[idx] = r.score;
+                    }
+                  }
+                });
+    std::erase_if(live, [&rejected](std::size_t idx) {
+      return rejected[idx] != 0;
+    });
   }
-  if (config.cache_stats && config.cascade == nullptr) {
-    // Assembly-side accounting is a pure function of the grid geometry (every
-    // window reads exactly slots() cached values), so the totals are exact by
-    // construction; the compute side was tallied by build_scene_cell_plane.
-    // Cascaded scans account per window inside cascade_range instead — a
-    // prescreen-rejected window reads only its parity slots.
-    config.cache_stats->slot_reads +=
-        static_cast<std::uint64_t>(total) * slots_per_window;
+  fill_demand(live, /*parity_only=*/false);  // (c)
+
+  // (d) Survivors: the staged cascade, or the full feature when the scan
+  // runs without one (the only path that takes in-flight query faults).
+  const std::size_t cells_per_window = cells_per_side * cells_per_side;
+  run_sharded(
+      exec, config, live.size(),
+      [&](Shard& shard, std::size_t lo, std::size_t hi) {
+        core::OpCounter* counter = ops_of(config, shard);
+        std::optional<hog::HdHogExtractor::StagedWindow> win;
+        Cascade::Scratch scratch;
+        if (cascade != nullptr) win.emplace(extractor);
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::size_t idx = live[i];
+          const auto [ox, oy] = origin(idx);
+          shard.cache.ensure_checks += cells_per_window;
+          shard.cache.slot_reads += extractor.slots();
+          if (cascade != nullptr) {
+            win->reset(plane, ox, oy);
+            const Cascade::Result r = cascade->classify(
+                pipeline.classifier(), *win, scratch, shard.cascade, counter);
+            map.predictions[idx] = r.prediction;
+            map.scores[idx] = r.score;
+            continue;
+          }
+          core::Hypervector feature =
+              extractor.extract_from_plane(plane, ox, oy, counter);
+          if (config.fault_plan) {
+            noise::apply_query_fault(*config.fault_plan, idx, feature);
+          }
+          const auto class_scores = pipeline.classifier().scores(feature);
+          map.predictions[idx] = static_cast<int>(
+              std::max_element(class_scores.begin(), class_scores.end()) -
+              class_scores.begin());
+          map.scores[idx] =
+              class_scores[static_cast<std::size_t>(positive_class)];
+        }
+      });
+
+  if (config.cache_stats) {
     config.cache_stats->windows_assembled += total;
+    if (fill) {
+      config.cache_stats->cells_total += plane.cells();
+      config.cache_stats->cells_computed += cells_filled;
+      config.cache_stats->cells_forced_prescreen += forced_prescreen;
+    }
   }
   return map;
+}
+
+const hog::HdHogExtractor& require_extractor(const HdFacePipeline& pipeline,
+                                             const char* what) {
+  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
+  if (extractor == nullptr) {
+    throw std::invalid_argument(
+        std::string(what) +
+        ": the cell-plane scan requires an HD-HOG pipeline (kOrigHogEncoder "
+        "has no hypervector encode to cache)");
+  }
+  return *extractor;
+}
+
+}  // namespace
+
+DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
+                                     const image::Image& scene,
+                                     const hog::CellPlane& plane,
+                                     std::size_t window, std::size_t stride,
+                                     int positive_class,
+                                     const ParallelDetectConfig& config) {
+  const hog::HdHogExtractor& extractor =
+      require_extractor(pipeline, "detect_windows_on_plane");
+  validate_cascade_config(config, positive_class);
+  if (plane.cell_size != extractor.config().hog.cell_size ||
+      plane.bins != extractor.config().hog.bins) {
+    throw std::invalid_argument(
+        "detect_windows_on_plane: plane cell/bin shape mismatches the "
+        "pipeline's extractor");
+  }
+  // The one mutation, before any dispatch: freeze the shared mask pool.
+  pipeline.prepare_concurrent();
+  return scan_plane(pipeline, scene, plane, window, stride, positive_class,
+                    config, resolve_pool(config), {});
 }
 
 hog::CellPlane build_scene_cell_plane(HdFacePipeline& pipeline,
                                       const image::Image& scene,
                                       std::size_t grid_step,
                                       const ParallelDetectConfig& config) {
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "build_scene_cell_plane: pipeline has no HD-HOG extractor");
-  }
-  const hog::HdHogConfig& hd = extractor->config();
+  const hog::HdHogExtractor& extractor =
+      require_extractor(pipeline, "build_scene_cell_plane");
+  const hog::HdHogConfig& hd = extractor.config();
   hog::CellPlane plane = hog::make_cell_plane_geometry(
       scene.width(), scene.height(), hd.hog.cell_size, hd.hog.bins, grid_step,
       config.scale_index);
-  const std::size_t total = plane.cells();
-
   // The one mutation, before any dispatch: freeze the shared mask pool.
   pipeline.prepare_concurrent();
-  const std::uint64_t seed = pipeline.config().seed;
-  const HdFacePipeline& frozen = pipeline;
-
-  // Scene-scale planar pass shared by every cell: quantize each pixel to its
-  // item-memory level index once, so the per-cell chain (which reads border
-  // pixels up to four times, and shared borders once per adjacent cell) does
-  // table lookups instead of repeated level searches.
-  const hog::LevelIndexPlane levels =
-      hog::build_level_index_plane(scene, extractor->item_memory());
-
-  // Per-cell work on [lo, hi): reseed from the pure (seed, scale, gx, gy)
-  // key, then run the cell's stochastic chain into the plane.
-  const auto fill_range = [&](core::StochasticContext& scratch, std::size_t lo,
-                              std::size_t hi) {
-    for (std::size_t idx = lo; idx < hi; ++idx) {
-      const std::size_t gx = idx % plane.grid_x;
-      const std::size_t gy = idx / plane.grid_x;
-      scratch.reseed(
-          hog::cell_plane_seed(seed, config.scale_index, gx, gy));
-      extractor->cell_raw_values(scene, &levels, gx * plane.grid_step,
-                                 gy * plane.grid_step, scratch,
-                                 plane.mutable_cell(gx, gy),
-                                 config.reference_cell_chain);
-    }
-  };
-
-  PoolChoice exec = resolve_pool(config);
-  if (exec.serial()) {
-    core::StochasticContext scratch = frozen.fork_context(seed);
-    core::OpCounter local;
-    if (config.feature_counter) scratch.set_counter(&local);
-    fill_range(scratch, 0, total);
-    if (config.feature_counter) config.feature_counter->merge(local);
-  } else {
-    core::ShardedOpCounter shards(exec.pool->size() * 4 + 1);
-    std::atomic<std::size_t> next_shard{0};
-    util::parallel_for_chunked(
-        *exec.pool, 0, total, config.min_chunk,
-        [&frozen, seed, &config, &shards, &next_shard,
-         &fill_range](std::size_t lo, std::size_t hi) {
-          core::StochasticContext scratch =
-              frozen.fork_context(core::mix64(seed, lo));
-          if (config.feature_counter) {
-            // hdlint: allow(sched-dependent-value) — shard totals merge with
-            // integer adds, so combined() is exact at every thread count.
-            scratch.set_counter(&shards.shard(next_shard.fetch_add(1) %
-                                              shards.num_shards()));
-          }
-          fill_range(scratch, lo, hi);
-        });
-    if (config.feature_counter) config.feature_counter->merge(shards.combined());
-  }
+  std::vector<std::size_t> cells(plane.cells());
+  std::iota(cells.begin(), cells.end(), std::size_t{0});
+  fill_cells(pipeline, scene,
+             hog::build_level_index_plane(scene, extractor.item_memory()),
+             plane, cells, resolve_pool(config), config);
   if (config.cache_stats) {
-    config.cache_stats->cells_computed += total;
-    config.cache_stats->cells_total += total;
+    config.cache_stats->cells_computed += plane.cells();
+    config.cache_stats->cells_total += plane.cells();
   }
   return plane;
 }
@@ -562,27 +399,29 @@ DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
                                      std::size_t window, std::size_t stride,
                                      int positive_class,
                                      const ParallelDetectConfig& config) {
-  const hog::HdHogExtractor* extractor = pipeline.hd_extractor();
-  // build_scene_cell_plane re-validates, but the error should name the scan.
-  if (extractor == nullptr) {
-    throw std::invalid_argument(
-        "detect_windows_parallel: the cell-plane scan requires an HD-HOG "
-        "pipeline (kOrigHogEncoder has no hypervector encode to cache)");
-  }
-  if (config.plane_mode == PlaneMode::kLazy) {
-    return detect_windows_lazy_plane(pipeline, scene, window, stride,
-                                     positive_class, config);
-  }
-  // Fast-fail on scan-config errors before paying for the plane build
-  // (detect_windows_on_plane re-validates; both are cheap).
+  const hog::HdHogExtractor& extractor =
+      require_extractor(pipeline, "detect_windows_parallel");
+  const hog::HdHogConfig& hd = extractor.config();
+  // Fail on scan-config errors before any encode work.
   (void)make_map_geometry(scene, window, stride);
   validate_cascade_config(config, positive_class);
-  const std::size_t grid_step =
-      std::gcd(stride, extractor->config().hog.cell_size);
-  const hog::CellPlane plane =
-      build_scene_cell_plane(pipeline, scene, grid_step, config);
-  return detect_windows_on_plane(pipeline, scene, plane, window, stride,
-                                 positive_class, config);
+  hog::CellPlane plane = hog::make_cell_plane_geometry(
+      scene.width(), scene.height(), hd.hog.cell_size, hd.hog.bins,
+      std::gcd(stride, hd.hog.cell_size), config.scale_index);
+  // The one mutation, before any dispatch: freeze the shared mask pool.
+  pipeline.prepare_concurrent();
+  // Scene-scale pixel→level planar pass shared by every cell: each pixel is
+  // quantized to its item-memory level index once, so the per-cell chain
+  // (which reads border pixels up to four times) does table lookups.
+  const hog::LevelIndexPlane levels =
+      hog::build_level_index_plane(scene, extractor.item_memory());
+  const PoolChoice exec = resolve_pool(config);
+  return scan_plane(pipeline, scene, plane, window, stride, positive_class,
+                    config, exec,
+                    [&](const std::vector<std::size_t>& cells) {
+                      fill_cells(pipeline, scene, levels, plane, cells, exec,
+                                 config);
+                    });
 }
 
 }  // namespace hdface::pipeline

@@ -13,16 +13,25 @@
 // and windows are partitioned into contiguous chunks dispatched on
 // util::ThreadPool.
 //
+// The scan fills the plane from an explicit demand set, in phases: the
+// parity-subgrid cells the cascade prescreen reads, then the prescreen over
+// every window, then the not-yet-filled cells of the surviving windows, then
+// the cascade stages and full-D scoring on the survivors. Without a prescreen
+// every window survives, so the demand set is every cell the scan reads.
+// Each fill is a plain parallel loop over a list of distinct cells.
+//
 // Determinism: every cell's encoding is a pure function of (pipeline state,
 // scene pixels, scale index, cell coordinates), and every window's score a
 // pure function of the cells it reads — independent of thread count, chunk
-// boundaries, scheduling order, and whether the plane is built eagerly or
-// materialized lazily. A 1-thread run and an 8-thread run produce
-// bit-identical DetectionMaps.
+// boundaries, scheduling order, and which cells were filled when. A 1-thread
+// run and an 8-thread run produce bit-identical DetectionMaps, equal to a
+// scan on a fully built plane (build_scene_cell_plane +
+// detect_windows_on_plane).
 //
-// Op accounting is exact under parallelism: each chunk accumulates into its
-// own ShardedOpCounter shard and the shards merge into the caller's counter
-// after the scan, so totals are equal at every thread count.
+// Accounting is exact under parallelism: each chunk accumulates op counts,
+// cascade and cache tallies into its own padded shard, and the shards merge
+// into the caller's sinks after each phase, so totals are equal at every
+// thread count.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,17 +75,11 @@ struct ParallelDetectConfig {
   // every level of a multiscale scan draws an independent deterministic
   // stream (MultiScaleDetector sets it per level).
   std::size_t scale_index = 0;
-  // Cell-plane population strategy (see PlaneMode): kEager builds the whole
-  // plane before the scan, kLazy materializes each cell on its first window
-  // read — bit-identical DetectionMaps, and with a prescreen-carrying
-  // cascade most cells of a sparse scene are never encoded. Ignored by
-  // detect_windows_on_plane (its caller-built plane is already materialized).
+  // Has no effect: the scan fills the cells its windows demand (see the file
+  // comment). Kept only because the end-to-end benchmark
+  // (e2ebench/cpp/scan.cpp) assigns it; it goes with that benchmark's next
+  // change.
   PlaneMode plane_mode = PlaneMode::kEager;
-  // Force the reference per-pixel stochastic chain for cell encodes instead
-  // of the fused batched kernel (bench/ablation baseline knob; both produce
-  // bit-identical cells). Accounting scans (feature_counter set) run the
-  // reference chain regardless — op charges are defined on it.
-  bool reference_cell_chain = false;
   // Optional cell-plane cache accounting (exact totals at any thread count).
   EncodeCacheStats* cache_stats = nullptr;
   // Early-reject cascade (pipeline/cascade.hpp): when set, the cell-plane
@@ -85,8 +88,8 @@ struct ParallelDetectConfig {
   // bit-identical to a cascade-free scan; rejected windows report the prefix
   // verdict. Incompatible with fault_plan (in-flight query faults need the
   // fully assembled feature) — throws std::invalid_argument. The exact
-  // cascade mode is represented by LEAVING this null: the scan then runs
-  // today's path untouched. Must outlive the call.
+  // cascade mode is represented by LEAVING this null: the scan then scores
+  // every window at full D. Must outlive the call.
   const Cascade* cascade = nullptr;
   // Optional cascade stage accounting, merged from per-chunk shards after
   // the scan (exact at any thread count; untouched when `cascade` is null).
@@ -101,7 +104,7 @@ struct ParallelDetectConfig {
 // scratch context reseeded from the pure key (pipeline seed, scale_index,
 // gx, gy) — bit-identical at any thread count and reusable across scans of
 // the same scene/scale (exposed for benches and tests; detect_windows_parallel
-// builds one internally per call). `grid_step` must divide the extractor's
+// fills only the cells its windows demand). `grid_step` must divide the extractor's
 // cell size; pass gcd(stride, cell_size) to cover every window of a scan.
 // Calls pipeline.prepare_concurrent() (the one mutation, before dispatch).
 // Throws std::invalid_argument unless the pipeline runs HD-HOG.
@@ -112,7 +115,7 @@ hog::CellPlane build_scene_cell_plane(HdFacePipeline& pipeline,
 
 // Scan-stage entry for a PREBUILT cell plane: classify every window of the
 // scan grid against `plane` without re-encoding the scene. This is exactly
-// the post-plane half of the scan — a scan on a freshly built plane is
+// the scoring phases of the scan — a scan on a freshly built plane is
 // bit-identical to detect_windows_parallel, and config.cascade selects
 // cascaded vs exact scoring just like there. Reuse a plane across scans of
 // the SAME scene/scale (threshold sweeps, cascade-vs-exact comparisons,
@@ -130,8 +133,8 @@ DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
                                      const ParallelDetectConfig& config = {});
 
 // Scan `scene` with `window`-sized windows at `stride`, classifying each with
-// the trained pipeline over the scene's cell plane (built eagerly or
-// materialized lazily per config.plane_mode). Calls
+// the trained pipeline over the scene's cell plane, filled in the phases of
+// the file comment. Calls
 // pipeline.prepare_concurrent() internally (the one mutation, before any
 // dispatch). Throws std::invalid_argument on zero geometry, a scene smaller
 // than the window, or a pipeline without an HD-HOG extractor.

@@ -113,7 +113,7 @@ struct ServerStats {
   util::LatencyHistogram e2e;
   // Fleet-wide scan accounting, merged across worker shards exactly like the
   // histograms (integer adds commute — totals are identical at any worker
-  // count and merge order). encode_cache carries the lazy-plane behavior the
+  // count and merge order). encode_cache carries the demand-set behavior the
   // plane-encode work gates on: cells_computed / cells_total is the
   // materialized fraction, cells_forced_prescreen the prescreen driver's
   // share, 1 − cells_computed / ensure_checks the plane hit rate. cascade

@@ -1,5 +1,6 @@
 #include "api/detector.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
@@ -169,21 +170,17 @@ TEST(Detector, DetectMapBitIdenticalAcrossKernelBackends) {
   dataset::render_background(scene, dataset::BackgroundKind::kMixed, rng);
   image::paste(scene, dataset::render_face_window(16, 555), 24, 8);
 
-  for (const auto mode :
-       {pipeline::PlaneMode::kEager, pipeline::PlaneMode::kLazy}) {
-    DetectOptions scalar;
-    scalar.threads = 1;
-    scalar.plane_mode = mode;
-    scalar.kernel_backend = core::kernels::Backend::kScalar;
-    DetectOptions fastest = scalar;
-    fastest.kernel_backend.reset();  // automatic choice (best supported)
-    const auto a = det.detect_map(scene, scalar);
-    const auto b = det.detect_map(scene, fastest);
-    ASSERT_EQ(a.scores.size(), b.scores.size());
-    for (std::size_t i = 0; i < a.scores.size(); ++i) {
-      EXPECT_EQ(a.scores[i], b.scores[i]) << "window " << i;
-      EXPECT_EQ(a.predictions[i], b.predictions[i]) << "window " << i;
-    }
+  DetectOptions scalar;
+  scalar.threads = 1;
+  scalar.kernel_backend = core::kernels::Backend::kScalar;
+  DetectOptions fastest = scalar;
+  fastest.kernel_backend.reset();  // automatic choice (best supported)
+  const auto a = det.detect_map(scene, scalar);
+  const auto b = det.detect_map(scene, fastest);
+  ASSERT_EQ(a.scores.size(), b.scores.size());
+  for (std::size_t i = 0; i < a.scores.size(); ++i) {
+    EXPECT_EQ(a.scores[i], b.scores[i]) << "window " << i;
+    EXPECT_EQ(a.predictions[i], b.predictions[i]) << "window " << i;
   }
   // The scan-scoped force is restored once detect_map returns.
   EXPECT_FALSE(core::kernels::forced_backend().has_value());
@@ -379,9 +376,8 @@ void expect_boxes_identical(const std::vector<pipeline::Detection>& a,
 }
 
 // DetectOptions{} is the fast path: its scans are bit-identical to an
-// explicit cell-plane scan with the eager and with the lazy plane, at one
-// and at four threads, for the single-scale map and for a two-level pyramid
-// with NMS.
+// explicit cell-plane scan at one and at four threads, for the single-scale
+// map and for a two-level pyramid with NMS.
 TEST(Detector, DefaultOptionsMatchExplicitCellPlaneScans) {
   dataset::FaceDatasetConfig data_cfg;
   data_cfg.image_size = 16;
@@ -402,27 +398,21 @@ TEST(Detector, DefaultOptionsMatchExplicitCellPlaneScans) {
   pyramid.nms = true;
   const auto base_boxes = det.detect(scene, pyramid);
 
-  for (const auto plane : {pipeline::PlaneMode::kEager,
-                           pipeline::PlaneMode::kLazy}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      SCOPED_TRACE(testing::Message()
-                   << "plane " << static_cast<int>(plane) << ", " << threads
-                   << " threads");
-      DetectOptions opts;
-      opts.threads = threads;
-      opts.encode_mode = pipeline::EncodeMode::kCellPlane;
-      opts.plane_mode = plane;
-      const auto map = det.detect_map(scene, opts);
-      ASSERT_EQ(map.scores.size(), base_map.scores.size());
-      for (std::size_t i = 0; i < map.scores.size(); ++i) {
-        EXPECT_EQ(map.scores[i], base_map.scores[i]) << "window " << i;
-        EXPECT_EQ(map.predictions[i], base_map.predictions[i])
-            << "window " << i;
-      }
-      opts.scales = pyramid.scales;
-      opts.nms = true;
-      expect_boxes_identical(det.detect(scene, opts), base_boxes);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    DetectOptions opts;
+    opts.threads = threads;
+    opts.encode_mode = pipeline::EncodeMode::kCellPlane;
+    const auto map = det.detect_map(scene, opts);
+    ASSERT_EQ(map.scores.size(), base_map.scores.size());
+    for (std::size_t i = 0; i < map.scores.size(); ++i) {
+      EXPECT_EQ(map.scores[i], base_map.scores[i]) << "window " << i;
+      EXPECT_EQ(map.predictions[i], base_map.predictions[i])
+          << "window " << i;
     }
+    opts.scales = pyramid.scales;
+    opts.nms = true;
+    expect_boxes_identical(det.detect(scene, opts), base_boxes);
   }
 }
 
@@ -460,6 +450,40 @@ TEST(Detector, OrigHogScansFailWithTypedErrors) {
   DetectOptions pyramid;
   pyramid.scales = {1.0, 0.5};
   EXPECT_THROW((void)det.detect(scene, pyramid), InvalidOptionsError);
+}
+
+// A NaN pixel has no item-memory level. Every scan entry point rejects it up
+// front with a typed error instead of handing it to the engine.
+TEST(Detector, NanPixelScansFailWithTypedErrors) {
+  dataset::FaceDatasetConfig data_cfg;
+  data_cfg.image_size = 16;
+  data_cfg.num_samples = 40;
+  Detector det = small_face_detector();
+  det.fit(dataset::make_face_dataset(data_cfg));
+  image::Image scene(32, 32, 0.5f);
+  scene.at(17, 9) = std::numeric_limits<float>::quiet_NaN();
+
+  Request request;
+  request.scene = scene;
+  for (const std::vector<double>& scales :
+       {std::vector<double>{1.0}, std::vector<double>{1.0, 0.5}}) {
+    request.options.scales = scales;
+    const auto outcome = det.detect(request);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.error().code, ErrorCode::kInvalidOptions);
+    EXPECT_NE(outcome.error().message.find("NaN"), std::string::npos);
+  }
+
+  EXPECT_THROW((void)det.detect_map(scene, {}), InvalidOptionsError);
+  EXPECT_THROW((void)det.detect(scene, DetectOptions{}), InvalidOptionsError);
+  DetectOptions pyramid;
+  pyramid.scales = {1.0, 0.5};
+  EXPECT_THROW((void)det.detect(scene, pyramid), InvalidOptionsError);
+
+  // The same scene without the NaN scans normally.
+  scene.at(17, 9) = 0.5f;
+  request.scene = scene;
+  EXPECT_TRUE(det.detect(request).ok());
 }
 
 }  // namespace

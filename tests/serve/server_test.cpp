@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -207,6 +208,31 @@ TEST(DetectionServer, OrigHogScanResolvesTypedErrorAndWorkerKeepsServing) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.counters.admitted, 3u);
   EXPECT_EQ(stats.counters.failed, 3u);
+  EXPECT_EQ(stats.in_flight, 0u);
+  EXPECT_TRUE(stats.conserved());
+}
+
+TEST(DetectionServer, NanPixelRequestResolvesTypedErrorAndWorkerKeepsServing) {
+  const api::Detector det = trained_detector();
+  ServerConfig config;
+  config.workers = 1;
+  DetectionServer server(det, config);
+  api::Request poisoned = valid_request(0);
+  poisoned.scene.at(3, 5) = std::numeric_limits<float>::quiet_NaN();
+  auto bad = server.submit(poisoned);
+  auto good = server.submit(valid_request(1));
+  ASSERT_TRUE(bad.admitted());
+  ASSERT_TRUE(good.admitted());
+  const auto bad_outcome = bad.response.get();
+  ASSERT_FALSE(bad_outcome.ok());
+  EXPECT_EQ(bad_outcome.error().code, api::ErrorCode::kInvalidOptions);
+  // The same worker serves the next request.
+  EXPECT_TRUE(good.response.get().ok());
+  server.shutdown();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.counters.admitted, 2u);
+  EXPECT_EQ(stats.counters.failed, 1u);
+  EXPECT_EQ(stats.counters.completed, 1u);
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_TRUE(stats.conserved());
 }
