@@ -173,15 +173,12 @@ Hypervector StochasticContext::construct(double a) {
   // Flip each basis bit with probability (1−a)/2 so that agreement with V₁
   // is (1+a)/2 and δ(V_a, V₁) = a in expectation.
   Hypervector flips = bernoulli_mask((1.0 - a) / 2.0);
-  count(OpKind::kWordLogic, basis_.num_words());
+  charge(op_cost::kConstruct, basis_.num_words());
   return basis_ ^ flips;
 }
 
 double StochasticContext::decode(const Hypervector& v) const {
-  if (counter_) {
-    counter_->add(OpKind::kWordLogic, v.num_words());
-    counter_->add(OpKind::kPopcount, v.num_words());
-  }
+  charge(op_cost::kDecode, v.num_words());
   return similarity(v, basis_);
 }
 
@@ -191,7 +188,7 @@ Hypervector StochasticContext::weighted_average(const Hypervector& a,
     throw std::invalid_argument("weighted_average: dimensionality mismatch");
   }
   const Hypervector mask = bernoulli_mask(p);
-  count(OpKind::kWordLogic, 3 * a.num_words());
+  charge(op_cost::kWeightedAverage, a.num_words());
   // select: (a & mask) | (b & ~mask) == b ^ ((a ^ b) & mask)
   Hypervector out = a ^ b;
   auto ow = out.mutable_words();
@@ -205,7 +202,7 @@ Hypervector StochasticContext::multiply(const Hypervector& a, const Hypervector&
   if (a.dim() != dim() || b.dim() != dim()) {
     throw std::invalid_argument("multiply: dimensionality mismatch");
   }
-  count(OpKind::kWordLogic, 2 * a.num_words());
+  charge(op_cost::kMultiply, a.num_words());
   // Paper rule: result dim = V₁ dim where operands agree, −V₁ dim otherwise.
   // In packed-bit form that is exactly a ^ b ^ V₁.
   return a ^ b ^ basis_;
@@ -225,7 +222,7 @@ Hypervector StochasticContext::scale(const Hypervector& v, double c) {
   // δ(wavg(v, fresh-zero, |c|), V₁) = |c|·a; flip for negative c.
   Hypervector out = weighted_average(v, zero(), std::fabs(c));
   if (c < 0.0) {
-    count(OpKind::kWordLogic, out.num_words());
+    charge(op_cost::kNegate, out.num_words());
     return ~out;
   }
   return out;
@@ -234,7 +231,7 @@ Hypervector StochasticContext::scale(const Hypervector& v, double c) {
 Hypervector StochasticContext::abs(const Hypervector& v) {
   HD_CHECK(v.dim() == dim(), "abs: operand dimensionality mismatch");
   if (sign_of(v) < 0) {
-    count(OpKind::kWordLogic, v.num_words());
+    charge(op_cost::kNegate, v.num_words());
     return ~v;
   }
   return v;
@@ -303,7 +300,7 @@ Hypervector StochasticContext::divide(const Hypervector& a, const Hypervector& b
   }
   const bool negative = (sign_a < 0) != (sign_b < 0);
   if (negative) {
-    count(OpKind::kWordLogic, mid.num_words());
+    charge(op_cost::kNegate, mid.num_words());
     return ~mid;
   }
   return mid;
@@ -317,7 +314,7 @@ int StochasticContext::compare(const Hypervector& a, const Hypervector& b,
                                double eps) {
   if (eps < 0.0) eps = default_eps();
   // δ(0.5a ⊕ 0.5(−b), V₁) = (a − b)/2 in expectation.
-  count(OpKind::kWordLogic, b.num_words());
+  charge(op_cost::kNegate, b.num_words());
   const Hypervector diff = weighted_average(a, ~b, 0.5);
   const double d = decode(diff);
   if (d > eps / 2.0) return 1;

@@ -54,6 +54,42 @@ struct StochasticConfig {
   std::size_t mask_pool = 64;
 };
 
+// Op-cost model of the stochastic primitives: each one's word-kernel charge
+// in units of num_words() (64-bit word logic / popcounts), on top of the
+// charge of every mask it draws (bernoulli_mask / pooled_mask_view). The
+// primitives charge these, and a fused kernel that replays a primitive
+// chain derives its tally from them, so one cost decision lives here only.
+struct OpCharge {
+  std::uint64_t logic = 0;
+  std::uint64_t popcount = 0;
+
+  constexpr OpCharge& operator+=(OpCharge b) {
+    logic += b.logic;
+    popcount += b.popcount;
+    return *this;
+  }
+  friend constexpr OpCharge operator+(OpCharge a, OpCharge b) {
+    return a += b;
+  }
+  friend constexpr OpCharge operator*(std::uint64_t k, OpCharge a) {
+    return {k * a.logic, k * a.popcount};
+  }
+};
+
+namespace op_cost {
+inline constexpr OpCharge kConstruct{1, 0};        // V₁ ^ flips
+inline constexpr OpCharge kDecode{1, 1};           // popcount(v ^ V₁)
+inline constexpr OpCharge kWeightedAverage{3, 0};  // b ^ ((a ^ b) & mask)
+inline constexpr OpCharge kMultiply{2, 0};         // a ^ b ^ V₁
+inline constexpr OpCharge kNegate{1, 0};  // a charged flip (compare, scale)
+// Composites, as the primitives below chain them.
+inline constexpr OpCharge kAddHalved = kWeightedAverage;
+inline constexpr OpCharge kSignOf = kDecode;
+inline constexpr OpCharge kSquare = kDecode + kConstruct + kMultiply;
+inline constexpr OpCharge kCompare = kNegate + kWeightedAverage + kDecode;
+inline constexpr OpCharge kScale = kConstruct + kWeightedAverage;  // c >= 0
+}  // namespace op_cost
+
 class StochasticContext {
  public:
   explicit StochasticContext(const StochasticConfig& config);
@@ -148,6 +184,11 @@ class StochasticContext {
   // Optional op accounting.
   void set_counter(OpCounter* counter) { counter_ = counter; }
   OpCounter* counter() const { return counter_; }
+  // Charges `c` over `words`-word operands to the counter, if one is set.
+  void charge(OpCharge c, std::size_t words) const {
+    count(OpKind::kWordLogic, c.logic * words);
+    count(OpKind::kPopcount, c.popcount * words);
+  }
 
   // Effective binary-search iteration count (resolves the auto setting).
   int effective_search_iters() const;
@@ -197,7 +238,7 @@ class StochasticContext {
   std::vector<Hypervector>& mutable_pool_bucket(std::size_t bucket);
 
  private:
-  void count(OpKind kind, std::uint64_t n) {
+  void count(OpKind kind, std::uint64_t n) const {
     if (counter_) counter_->add(kind, n);
   }
   double default_eps() const;

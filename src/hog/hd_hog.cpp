@@ -263,18 +263,20 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
   // RNG stream — and therefore every output double — is bit-identical.
   //
   // Op accounting follows the same contract. pooled_mask_view charges each
-  // draw like bernoulli_mask; the reference chain's other charges, in units
-  // of n words (word logic / popcount), are tallied below and added once:
-  //   per pixel       20 / 4   two halved differences (3 each), two sign
-  //                            decodes (1/1 each), two squares (decode 1/1,
-  //                            construct 1, multiply 2 each), the halved sum
-  //                            (3) and sqrt's pre-loop construct (1)
-  //   per boundary     7 / 1   multiply (2) + compare (1 + average 3 +
-  //                            decode 1/1)
-  //   per sqrt step    9 / 1   two constructs (1 each), multiply (2),
-  //                            compare (5/1); the breaking step counts
-  //   per repeat hit   3 / 0   the running-mean average
-  //   per filled bin   5 / 1   scale (zero construct 1 + average 3) + decode
+  // draw like bernoulli_mask; the reference chain's other charges are summed
+  // from the primitives' op-cost model and added once.
+  namespace cost = core::op_cost;
+  // Two halved differences, two sign decodes, two squares, the halved sum
+  // and sqrt's pre-loop construct.
+  constexpr core::OpCharge kPerPixel = 3 * cost::kAddHalved +
+                                       2 * cost::kSignOf +
+                                       2 * cost::kSquare + cost::kConstruct;
+  constexpr core::OpCharge kPerBoundary = cost::kMultiply + cost::kCompare;
+  // Two constructs, a multiply and a compare; the breaking step counts.
+  constexpr core::OpCharge kPerSqrtStep =
+      2 * cost::kConstruct + cost::kMultiply + cost::kCompare;
+  constexpr core::OpCharge kPerRepeatHit = cost::kWeightedAverage;
+  constexpr core::OpCharge kPerFilledBin = cost::kScale + cost::kDecode;
   const auto& kt = core::kernels::active();
   const std::size_t bins = config_.hog.bins;
   const std::size_t cell = config_.hog.cell_size;
@@ -298,8 +300,7 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
   std::vector<std::size_t> bin_count(bins, 0);
   std::vector<bool> greater(boundary_consts_.size());
   const std::uint64_t boundaries = boundary_consts_.size();
-  std::uint64_t logic_units = 0;
-  std::uint64_t popcount_units = 0;
+  core::OpCharge charged;
 
   const auto pix = [&](std::ptrdiff_t x, std::ptrdiff_t y) {
     if (levels != nullptr) {
@@ -314,8 +315,7 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
     for (std::size_t px = 0; px < cell; ++px) {
       const auto xi = static_cast<std::ptrdiff_t>(x0 + px);
       const auto yi = static_cast<std::ptrdiff_t>(y0 + py);
-      logic_units += 20 + 7 * boundaries;
-      popcount_units += 4 + boundaries;
+      charged += kPerPixel + boundaries * kPerBoundary;
       // Gradient: V_G = A ⊕ (−B); the operand/result complements of the
       // halved difference fold into the select flips.
       {
@@ -397,8 +397,7 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
       double hi = 1.0;
       for (int it = 0; it < iters; ++it) {
         const double mval = (lo + hi) / 2.0;
-        logic_units += 9;
-        popcount_units += 1;
+        charged += kPerSqrtStep;
         {
           const auto m = ctx.pooled_mask_view((1.0 - mval) / 2.0);
           xor_rot(kt, basis, m, mid, n);
@@ -427,7 +426,7 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
       if (cnt == 0) {
         std::copy(mid, mid + n, mean);
       } else {
-        logic_units += 3;
+        charged += kPerRepeatHit;
         const double keep =
             static_cast<double>(cnt) / static_cast<double>(cnt + 1);
         const auto m = ctx.pooled_mask_view(keep);
@@ -443,8 +442,7 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
       out[b] = 0.0;
       continue;
     }
-    logic_units += 5;
-    popcount_units += 1;
+    charged += kPerFilledBin;
     const double rate = static_cast<double>(bin_count[b]) /
                         static_cast<double>(pixels_per_cell);
     {
@@ -456,10 +454,7 @@ void HdHogExtractor::cell_raw_values_fused(const image::Image& img,
         popsel_rot(kt, bin_mean.data() + b * n, zbuf, ms, basis, 0, n);
     out[b] = 1.0 - 2.0 * static_cast<double>(p) / dimd;
   }
-  if (core::OpCounter* counter = ctx.counter()) {
-    counter->add(core::OpKind::kWordLogic, logic_units * n);
-    counter->add(core::OpKind::kPopcount, popcount_units * n);
-  }
+  ctx.charge(charged, n);
 }
 
 HdHogExtractor::SlotRecord HdHogExtractor::normalize_slots(

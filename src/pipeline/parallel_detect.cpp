@@ -161,10 +161,12 @@ std::size_t even_count(std::size_t g0, std::size_t count) {
 // scan reads. `fill` encodes a list of plane cells; it is empty when the
 // caller's plane is already complete (detect_windows_on_plane), and then the
 // phases only score. Every window's result is a pure function of the cells
-// it reads, so the map is the same whichever cells were filled when.
+// it reads, so the map is the same whichever cells were filled when. `what`
+// names the public entry point in error messages.
 DetectionMap scan_plane(
-    const HdFacePipeline& pipeline, const image::Image& scene,
-    const hog::CellPlane& plane, std::size_t window, std::size_t stride,
+    const char* what, const HdFacePipeline& pipeline,
+    const image::Image& scene, const hog::CellPlane& plane,
+    std::size_t window, std::size_t stride,
     int positive_class, const ParallelDetectConfig& config,
     const PoolChoice& exec,
     const std::function<void(const std::vector<std::size_t>&)>& fill) {
@@ -184,15 +186,17 @@ DetectionMap scan_plane(
                             (map.steps_y - 1) * stride, cells_per_side,
                             cells_per_side)) {
     throw std::invalid_argument(
-        "detect_windows_on_plane: plane does not cover the scan grid (build "
-        "it with grid_step = gcd(stride, cell_size) over the same scene)");
+        std::string(what) +
+        ": plane does not cover the scan grid (build it with grid_step = "
+        "gcd(stride, cell_size) over the same scene)");
   }
   const Cascade* cascade = config.cascade;
   const bool prescreen = cascade != nullptr && cascade->has_prescreen();
   if (prescreen && plane.grid_step != cell) {
     throw std::invalid_argument(
-        "detect_windows_parallel: a prescreen-carrying cascade table needs "
-        "stride % cell_size == 0 so the parity subgrid is well defined");
+        std::string(what) +
+        ": a prescreen-carrying cascade table needs stride % cell_size == 0 "
+        "so the parity subgrid is well defined");
   }
   // Grid cells between adjacent window cells (1 when grid_step == cell).
   const std::size_t gstep = cell / plane.grid_step;
@@ -209,42 +213,19 @@ DetectionMap scan_plane(
                                bool parity_only) -> std::size_t {
     if (!fill) return 0;
     std::vector<std::size_t> cells;
-    const auto want = [&](std::size_t gx, std::size_t gy) {
-      const std::size_t c = gy * plane.grid_x + gx;
-      if ((parity_only && (gx % 2 != 0 || gy % 2 != 0)) || filled[c] != 0) {
-        return;
-      }
-      filled[c] = 1;
-      cells.push_back(c);
-    };
-    if (windows.size() == total) {
-      // Every window: the cells read are the product of the grid columns
-      // and the grid rows some window reads, which is cheaper to mark than
-      // window by window.
-      const auto axis_reads = [&](std::size_t steps, std::size_t n) {
-        std::vector<std::uint8_t> reads(n, 0);
-        for (std::size_t s = 0; s < steps; ++s) {
-          for (std::size_t c = 0; c < cells_per_side; ++c) {
-            reads[s * stride / plane.grid_step + c * gstep] = 1;
+    for (const std::size_t idx : windows) {
+      const auto [ox, oy] = origin(idx);
+      for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
+        for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
+          const std::size_t gx = ox / plane.grid_step + cx * gstep;
+          const std::size_t gy = oy / plane.grid_step + cy * gstep;
+          const std::size_t c = gy * plane.grid_x + gx;
+          if ((parity_only && (gx % 2 != 0 || gy % 2 != 0)) ||
+              filled[c] != 0) {
+            continue;
           }
-        }
-        return reads;
-      };
-      const auto xs = axis_reads(map.steps_x, plane.grid_x);
-      const auto ys = axis_reads(map.steps_y, plane.grid_y);
-      for (std::size_t gy = 0; gy < plane.grid_y; ++gy) {
-        for (std::size_t gx = 0; gx < plane.grid_x; ++gx) {
-          if (xs[gx] != 0 && ys[gy] != 0) want(gx, gy);
-        }
-      }
-    } else {
-      for (const std::size_t idx : windows) {
-        const auto [ox, oy] = origin(idx);
-        for (std::size_t cy = 0; cy < cells_per_side; ++cy) {
-          for (std::size_t cx = 0; cx < cells_per_side; ++cx) {
-            want(ox / plane.grid_step + cx * gstep,
-                 oy / plane.grid_step + cy * gstep);
-          }
+          filled[c] = 1;
+          cells.push_back(c);
         }
       }
     }
@@ -366,8 +347,8 @@ DetectionMap detect_windows_on_plane(HdFacePipeline& pipeline,
   }
   // The one mutation, before any dispatch: freeze the shared mask pool.
   pipeline.prepare_concurrent();
-  return scan_plane(pipeline, scene, plane, window, stride, positive_class,
-                    config, resolve_pool(config), {});
+  return scan_plane("detect_windows_on_plane", pipeline, scene, plane, window,
+                    stride, positive_class, config, resolve_pool(config), {});
 }
 
 hog::CellPlane build_scene_cell_plane(HdFacePipeline& pipeline,
@@ -416,8 +397,8 @@ DetectionMap detect_windows_parallel(HdFacePipeline& pipeline,
   const hog::LevelIndexPlane levels =
       hog::build_level_index_plane(scene, extractor.item_memory());
   const PoolChoice exec = resolve_pool(config);
-  return scan_plane(pipeline, scene, plane, window, stride, positive_class,
-                    config, exec,
+  return scan_plane("detect_windows_parallel", pipeline, scene, plane, window,
+                    stride, positive_class, config, exec,
                     [&](const std::vector<std::size_t>& cells) {
                       fill_cells(pipeline, scene, levels, plane, cells, exec,
                                  config);

@@ -445,6 +445,46 @@ TEST(DemandPlane, OpTotalsMatchFullPlaneScan) {
   }
 }
 
+// A 68-wide scene at window 16, stride 8 has a 17-column plane (grid step
+// 4), but the last window starts at x = 48 and reads columns 12..15: column
+// 16 is read by no window. The demand set leaves it unfilled — so the scan
+// computes, and charges ops for, fewer cells than the full plane — and the
+// map is unchanged.
+TEST(DemandPlane, PlaneMarginNoWindowReadsStaysUnfilled) {
+  auto& f = fixture();
+  const image::Image scene = cascade_calibration_scenes(
+      1, LazyFixture::kWindow, 68, 48, 1, 0xA11CE)[0];
+  const Cascade cascade(f.pipeline.classifier(), f.table);
+  const Cascade prescreen(f.pipeline.classifier(), f.prescreen_table);
+  for (const Cascade* c : {static_cast<const Cascade*>(nullptr), &cascade,
+                           &prescreen}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << threads << " threads, cascade " << (c != nullptr));
+      EncodeCacheStats stats;
+      core::OpCounter ops;
+      ParallelDetectConfig cfg = plane_cfg(threads, c);
+      cfg.cache_stats = &stats;
+      cfg.feature_counter = &ops;
+      const auto demand = demand_scan(scene, cfg);
+
+      core::OpCounter full_ops;
+      ParallelDetectConfig full_cfg = plane_cfg(threads, c);
+      full_cfg.feature_counter = &full_ops;
+      expect_maps_identical(full_plane_scan(scene, full_cfg), demand);
+
+      EXPECT_EQ(stats.cells_total, 17u * 12u);
+      EXPECT_LT(stats.cells_computed, stats.cells_total);
+      if (c != &prescreen) {
+        // Every window survives: the demand set is every column but the
+        // last, on every row.
+        EXPECT_EQ(stats.cells_computed, 16u * 12u);
+      }
+      EXPECT_LT(ops.total(), full_ops.total());
+    }
+  }
+}
+
 // --- facade ------------------------------------------------------------------
 
 TEST(LazyPlane, FacadeLazyMatchesEagerAndFillsTelemetry) {
